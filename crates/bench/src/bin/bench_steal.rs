@@ -24,9 +24,9 @@
 //!
 //! Run from the repo root: `cargo run -p gsb-bench --bin bench_steal`.
 
+use gsb_bench::workloads::steal_workload;
 use gsb_core::sink::CountSink;
 use gsb_core::{CliqueEnumerator, EnumConfig, EnumStats};
-use gsb_graph::generators::gnp;
 use gsb_graph::io::fingerprint_json;
 use gsb_graph::BitGraph;
 use gsb_par::vsim::{SimConfig, Strategy, VirtualScheduler};
@@ -35,39 +35,6 @@ use std::fmt::Write as _;
 
 /// Virtual processor count the acceptance claim is about.
 const PROCS: usize = 8;
-
-/// The skewed-degree workload: a G(n, 0.003) background (median
-/// degree ~30 — most of the true level-2 work), six exact 11-cliques
-/// (dense structure feeding the deeper levels), and seven mutually
-/// non-adjacent hub vertices sharing a 3500-vertex periphery. A hub
-/// sub-list's tail holds ~3500 mostly non-adjacent vertices, so its
-/// t² estimate (~12M units) towers over the summed estimate of the
-/// whole background (~9M) while its true cost is a fraction of the
-/// background's: the exact mispricing that makes an estimate-driven
-/// plan park one hub per processor and funnel everything else onto
-/// the processor left without one.
-fn steal_workload() -> BitGraph {
-    let n = 10_000;
-    let mut g = gnp(n, 0.003, 0xC11A5EED);
-    // Exact cliques: vertices [10 + 20·i, 10 + 20·i + 11).
-    for module in 0..6usize {
-        let base = 10 + 20 * module;
-        for i in 0..11 {
-            for j in i + 1..11 {
-                g.add_edge(base + i, base + j);
-            }
-        }
-    }
-    // Hubs 0..7 (not adjacent to each other) over a shared periphery;
-    // periphery vertices meet each other only through background
-    // edges, so hub tails are overwhelmingly non-adjacent pairs.
-    for hub in 0..7usize {
-        for p in 200..3_700 {
-            g.add_edge(hub, p);
-        }
-    }
-    g
-}
 
 /// Sequential measured run: deterministic per-sub-list work units per
 /// level, plus the wall-time scale to convert them to nanoseconds.

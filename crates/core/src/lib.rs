@@ -78,9 +78,7 @@ pub use neighborhood::{cliques_created_by_edge, maximal_cliques_induced};
 pub use parallel::{BalanceStrategy, ParallelConfig, ParallelEnumerator, ParallelStats, Scheduler};
 pub use pipeline::{CliquePipeline, PipelineError, PipelineReport};
 pub use quarantine::QuarantineEntry;
-pub use sink::{
-    CliqueSink, CollectSink, CountSink, FnSink, HistogramSink, SequencingSink, TeeSink, WriterSink,
-};
+pub use sink::{CliqueSink, CollectSink, CountSink, FnSink, HistogramSink, TeeSink, WriterSink};
 pub use store::{SpillConfig, StoreError};
 pub use sublist::{Level, SubList};
 pub use supervise::{RetryPolicy, ShutdownToken};

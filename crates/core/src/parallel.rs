@@ -6,23 +6,28 @@
 //! independently (no communication inside a level); a centralized task
 //! scheduler synchronizes levels, collects results, and transfers
 //! sub-lists from heavy to light workers when the spread exceeds the
-//! threshold policy — transfers move owned structures between queues,
+//! threshold policy — transfers move sub-list indices between queues,
 //! i.e. addresses, not data, exactly as on the Altix.
 //!
 //! [`Scheduler::Steal`] (the default) replaces the level barrier with a
-//! *steal-scope epoch*: every sub-list is its own task on its owner's
-//! deque, idle workers steal (owner-LIFO / thief-FIFO), and the level
-//! ends at quiescence — which is where the barrier hooks (checkpoint,
-//! degradation, halt) re-attach with unchanged semantics. Children stay
-//! on the worker that produced them as the next epoch's seed queues, so
-//! the paper's task-affinity property survives; the centralized
-//! balancer is retired on this path because stealing balances online.
+//! *steal-scope epoch*: the level is cut into contiguous, cost-sized
+//! chunks of adjacent sub-lists — about `CHUNKS_PER_THREAD` per worker,
+//! however many sub-lists the level holds — each chunk is a task on
+//! its owner's deque, idle workers steal (owner-LIFO / thief-FIFO), and
+//! the level ends at quiescence — which is where the barrier hooks
+//! (checkpoint, degradation, halt) re-attach with unchanged semantics.
+//! The centralized balancer is retired on this path because stealing
+//! balances online.
 //!
-//! Determinism: within a level the set of maximal cliques is
-//! independent of the partition *and* of the steal schedule; results
-//! are staged per level and released sorted (see
-//! [`crate::sink::SequencingSink`]), so output is byte-identical to the
-//! sequential enumerator under both schedulers.
+//! Determinism: a level is held once, behind an `Arc`, in canonical
+//! order (sub-lists ascending by prefix, the order the sequential
+//! enumerator produces), and every task covers contiguous runs of it.
+//! The sequential enumerator emits a level sub-list by sub-list, so
+//! concatenating the tasks' outputs in level order *is* its emission
+//! order, and their children, concatenated the same way, are the next
+//! level in canonical order. Output is byte-identical to the
+//! sequential enumerator under both schedulers with nothing staged or
+//! sorted (see `merge_level`).
 //!
 //! ## Fault tolerance
 //!
@@ -43,7 +48,7 @@
 //! abandoned, not waited on forever. With a quarantine sidecar
 //! configured ([`ParallelEnumerator::quarantine_to`]) a level whose
 //! retry also fails is *isolated* instead of aborted: the suspect
-//! sub-lists are probed one per worker, the poison ones are recorded to
+//! sub-lists are re-run one per task, the poison ones are recorded to
 //! `quarantine.jsonl` and skipped, and the level continues — degraded
 //! exact, never silently dropped (see [`crate::quarantine`]).
 
@@ -51,17 +56,18 @@ use crate::backend::InMemoryLevel;
 use crate::enumerator::{EnumConfig, LevelReport};
 use crate::memory::LevelMemory;
 use crate::quarantine::QuarantineEntry;
-use crate::sink::{CliqueSink, CollectSink, SequencingSink};
+use crate::sink::CliqueSink;
 use crate::store::StoreError;
 use crate::sublist::{Level, SubList};
-use crate::Clique;
+use crate::Vertex;
 use gsb_bitset::{BitSet, NeighborSet};
 use gsb_graph::BitGraph;
 use gsb_par::balance::{partition_greedy, rebalance, BalancePolicy};
 use gsb_par::pool::EpochOut;
 use gsb_par::stats::{LevelStats, RunStats};
-use gsb_par::{Heartbeat, RoundError, WorkerFailure, WorkerPool};
+use gsb_par::{Heartbeat, PoisonedTask, RoundError, WorkerFailure, WorkerPool};
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -88,8 +94,8 @@ pub enum Scheduler {
     /// as the differential oracle for the steal scheduler.
     Barrier,
     /// Work-stealing steal-scope epochs: per-worker deques of
-    /// individual sub-lists, idle workers steal, and the level's
-    /// barrier hooks run at epoch quiescence. Balances online, so no
+    /// cost-sized chunks of adjacent sub-lists, idle workers steal, and
+    /// the level's barrier hooks run at epoch quiescence. Balances online, so no
     /// centralized balancer runs between levels.
     #[default]
     Steal,
@@ -221,8 +227,10 @@ pub enum ParallelRunError<S: NeighborSet = BitSet> {
         k: usize,
         /// The worker failures of the retry round.
         error: RoundError,
-        /// The unexpanded level snapshot.
-        level: Level<S>,
+        /// The unexpanded level snapshot, still shared with any worker
+        /// the supervisor abandoned mid-level (a stuck thread keeps its
+        /// reference), so it is handed back behind its `Arc`.
+        level: Arc<Level<S>>,
     },
     /// The barrier hook (checkpoint write, budget check) failed.
     Store(StoreError),
@@ -254,41 +262,159 @@ impl<S: NeighborSet> From<StoreError> for ParallelRunError<S> {
     }
 }
 
-/// What one worker returns for one level.
-struct WorkerOut<S: NeighborSet> {
-    new_sublists: Vec<SubList<S>>,
-    maximal: Vec<Clique>,
-    tasks: usize,
+/// Steal tasks planned per worker per level: enough that the epoch's
+/// quiescence tail (at most one chunk per worker) is a small share of
+/// the level, few enough that per-task overhead is noise.
+const CHUNKS_PER_THREAD: usize = 16;
+
+/// Cut a level, given its sub-lists' estimated costs
+/// ([`SubList::cost`]), into contiguous runs of adjacent sub-lists. A
+/// run closes once it reaches the cost quantum
+/// `total / (CHUNKS_PER_THREAD × threads)` or holds its share
+/// `len / (CHUNKS_PER_THREAD × threads)` of the sub-lists, so there are
+/// at most `2 × CHUNKS_PER_THREAD × threads + 1` runs whatever the
+/// sub-list count. The count cap keeps the level split when a few
+/// mispriced estimates (a long tail of mostly non-adjacent vertices)
+/// dwarf the cost of everything else; a sub-list costlier than the
+/// quantum ends its run.
+fn plan_chunks(costs: &[u64], threads: usize) -> Vec<Range<usize>> {
+    let target = threads.max(1) * CHUNKS_PER_THREAD;
+    let total = costs.iter().map(|&c| c.max(1)).sum::<u64>();
+    let quantum = total.div_ceil(target as u64);
+    let share = costs.len().div_ceil(target);
+    let mut chunks = Vec::with_capacity(2 * target + 1);
+    let (mut start, mut acc) = (0, 0u64);
+    for (i, &c) in costs.iter().enumerate() {
+        acc += c.max(1);
+        if acc >= quantum || i + 1 - start >= share {
+            chunks.push(start..i + 1);
+            (start, acc) = (i + 1, 0);
+        }
+    }
+    if start < costs.len() {
+        chunks.push(start..costs.len());
+    }
+    chunks
+}
+
+/// Seed queues for an epoch: worker `w` gets the `w`-th contiguous
+/// share of `tasks`.
+fn deal(tasks: &[Range<usize>], threads: usize) -> Vec<Vec<Range<usize>>> {
+    let per = tasks.len().div_ceil(threads).max(1);
+    let mut queues: Vec<_> = tasks.chunks(per).map(<[_]>::to_vec).collect();
+    queues.resize(threads, Vec::new());
+    queues
+}
+
+/// Partition a level's sub-lists over `threads` queues with LPT on
+/// estimated cost. Queues hold indices into the level, ascending.
+fn partition_level<S>(level: &Level<S>, threads: usize) -> Vec<Vec<usize>> {
+    let costs: Vec<u64> = level.sublists.iter().map(SubList::cost).collect();
+    let mut queues = partition_greedy(&costs, threads);
+    for q in &mut queues {
+        q.sort_unstable();
+    }
+    queues
+}
+
+/// One task's maximal cliques in a single flat arena: clique `i` is
+/// `vertices[ends[i - 1]..ends[i]]`, and nothing is allocated per
+/// clique.
+struct CliqueArena {
+    vertices: Vec<Vertex>,
+    ends: Vec<usize>,
+}
+
+impl CliqueArena {
+    fn clique(&self, i: usize) -> &[Vertex] {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.vertices[start..self.ends[i]]
+    }
+}
+
+impl CliqueSink for CliqueArena {
+    fn maximal(&mut self, clique: &[Vertex]) {
+        self.vertices.extend_from_slice(clique);
+        self.ends.push(self.vertices.len());
+    }
+}
+
+/// A run of adjacent sub-lists inside an [`Expanded`]: their indices
+/// in the level, their cliques (positions in the arena), and how many
+/// children they produced (these follow the previous piece's).
+struct Piece {
+    sublists: Range<usize>,
+    cliques: Range<usize>,
+    children: usize,
+}
+
+/// What one task — a steal chunk, a barrier worker's batch, or a probe
+/// of a single sub-list — produced from the runs of sub-lists it
+/// expanded, with its pieces ascending in level order.
+struct Expanded<S: NeighborSet> {
+    pieces: Vec<Piece>,
+    cliques: CliqueArena,
+    children: Vec<SubList<S>>,
+    sublists: usize,
     units: u64,
     and_ops: u64,
     tests: u64,
 }
 
-/// The per-round job: expand a batch of sub-lists locally, no
-/// cross-talk. Built by a free function so a retry can recreate it
-/// after the original closure was consumed by the failed round. The
-/// per-vertex neighbor rows (already converted to `S`) are shared
-/// across workers and rounds.
-fn worker_job<S: NeighborSet>(
+/// The read-only inputs every task of a run shares, plus one reusable
+/// scratch bitmap per worker.
+struct Kernel<S: NeighborSet> {
     graph: Arc<BitGraph>,
-    rows: Arc<Vec<S>>,
-) -> impl Fn(usize, Vec<SubList<S>>, &Heartbeat) -> WorkerOut<S> + Send + Sync {
-    move |w, batch: Vec<SubList<S>>, hb: &Heartbeat| {
+    rows: Vec<S>,
+    /// A task takes its worker's bitmap and puts it back when done, so
+    /// a panicking or abandoned task costs one fresh allocation, never
+    /// a wrong result (the kernel overwrites the scratch before reading
+    /// it).
+    scratch: Vec<Mutex<Option<S>>>,
+}
+
+impl<S: NeighborSet> Kernel<S> {
+    fn new(g: &Arc<BitGraph>, threads: usize) -> Self {
+        Kernel {
+            graph: Arc::clone(g),
+            rows: crate::enumerator::neighbor_rows::<S>(g),
+            scratch: (0..threads).map(|_| Mutex::new(None)).collect(),
+        }
+    }
+
+    /// Expand the sub-lists of `level` at ascending `indices` on worker
+    /// `w`, one piece per run of adjacent indices. One heartbeat per
+    /// sub-list: the supervisor's stuck-worker deadline measures
+    /// *progress between sub-lists*, so a worker grinding through a
+    /// large chunk is alive while a wedged one is not.
+    fn expand(
+        &self,
+        level: &Level<S>,
+        indices: impl IntoIterator<Item = usize>,
+        w: usize,
+        hb: &Heartbeat,
+    ) -> Expanded<S> {
         if let Err(e) = crate::failpoint::inject("parallel.worker") {
             panic!("{e}");
         }
-        let local_m: usize = batch.iter().map(SubList::len).sum();
-        // paper's bound N[k+1] <= M[k] - 2N[k], per worker
-        let mut new_sublists: Vec<SubList<S>> =
-            Vec::with_capacity(local_m.saturating_sub(2 * batch.len()));
-        let (mut units, mut and_ops, mut tests) = (0u64, 0u64, 0u64);
-        let mut collect = CollectSink::default();
-        let mut buf = S::empty(graph.n());
-        for sl in &batch {
-            // One beat per sub-list: the supervisor's stuck-worker
-            // deadline measures *progress between sub-lists*, so a
-            // worker grinding through a huge batch is alive while a
-            // wedged one is not.
+        let slot = &self.scratch[w];
+        let mut buf = lock(slot)
+            .take()
+            .unwrap_or_else(|| S::empty(self.graph.n()));
+        let mut out = Expanded {
+            pieces: Vec::new(),
+            cliques: CliqueArena {
+                vertices: Vec::new(),
+                ends: Vec::new(),
+            },
+            children: Vec::new(),
+            sublists: 0,
+            units: 0,
+            and_ops: 0,
+            tests: 0,
+        };
+        for i in indices {
+            let sl = &level.sublists[i];
             hb.beat(w);
             // Per-sub-list failpoint, keyed by prefix, so tests can
             // poison exactly one sub-list. Gated: the tag string is
@@ -305,117 +431,235 @@ fn worker_job<S: NeighborSet>(
                     panic!("{e}");
                 }
             }
-            let expanded =
-                crate::enumerator::expand_sublist(&graph, &rows, sl, &mut buf, &mut collect, |c| {
-                    new_sublists.push(c)
-                });
-            units += expanded.units;
-            and_ops += expanded.and_ops;
-            tests += expanded.tests;
-        }
-        WorkerOut {
-            new_sublists,
-            maximal: collect.cliques,
-            tasks: batch.len(),
-            units,
-            and_ops,
-            tests,
-        }
-    }
-}
-
-/// What one steal-scheduler task (a single sub-list) produces.
-struct TaskOut<S: NeighborSet> {
-    new_sublists: Vec<SubList<S>>,
-    maximal: Vec<Clique>,
-    units: u64,
-    and_ops: u64,
-    tests: u64,
-}
-
-/// The per-task job of the work-stealing scheduler: expand exactly one
-/// sub-list. The pool heartbeats before each task, so the stuck-worker
-/// deadline measures progress *between sub-lists*, same as the barrier
-/// path's per-sub-list beat.
-fn steal_task_job<S: NeighborSet>(
-    graph: Arc<BitGraph>,
-    rows: Arc<Vec<S>>,
-) -> impl Fn(usize, &SubList<S>, &Heartbeat) -> TaskOut<S> + Send + Sync {
-    move |_w, sl: &SubList<S>, _hb: &Heartbeat| {
-        if let Err(e) = crate::failpoint::inject("parallel.worker") {
-            panic!("{e}");
-        }
-        // Per-sub-list failpoint, keyed by prefix, so tests can poison
-        // exactly one sub-list. Gated: the tag string is never built in
-        // production runs.
-        #[cfg(feature = "failpoints")]
-        {
-            let tag = sl
-                .prefix
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("-");
-            if let Err(e) = crate::failpoint::inject_tagged("parallel.sublist", &tag) {
-                panic!("{e}");
+            let (cliques0, children0) = (out.cliques.ends.len(), out.children.len());
+            // At most t − 2 children from t tails (the paper's
+            // N[k+1] ≤ M[k] − 2N[k], per sub-list).
+            out.children.reserve(sl.len().saturating_sub(2));
+            let children = &mut out.children;
+            let expanded = crate::enumerator::expand_sublist(
+                &self.graph,
+                &self.rows,
+                sl,
+                &mut buf,
+                &mut out.cliques,
+                |c| children.push(c),
+            );
+            out.sublists += 1;
+            out.units += expanded.units;
+            out.and_ops += expanded.and_ops;
+            out.tests += expanded.tests;
+            let (cliques, born) = (out.cliques.ends.len(), out.children.len() - children0);
+            match out.pieces.last_mut() {
+                Some(p) if p.sublists.end == i => {
+                    p.sublists.end += 1;
+                    p.cliques.end = cliques;
+                    p.children += born;
+                }
+                _ => out.pieces.push(Piece {
+                    sublists: i..i + 1,
+                    cliques: cliques0..cliques,
+                    children: born,
+                }),
             }
         }
-        let mut new_sublists: Vec<SubList<S>> = Vec::new();
-        let mut collect = CollectSink::default();
-        let mut buf = S::empty(graph.n());
-        let expanded =
-            crate::enumerator::expand_sublist(&graph, &rows, sl, &mut buf, &mut collect, |c| {
-                new_sublists.push(c)
-            });
-        TaskOut {
-            new_sublists,
-            maximal: collect.cliques,
-            units: expanded.units,
-            and_ops: expanded.and_ops,
-            tests: expanded.tests,
+        *lock(slot) = Some(buf);
+        out
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The barrier scheduler's per-round job: expand a worker's batch of
+/// ascending level indices. Built by a free function so a retry can
+/// recreate it after the original closure was consumed by the failed
+/// round.
+fn batch_job<S: NeighborSet>(
+    kernel: &Arc<Kernel<S>>,
+    level: &Arc<Level<S>>,
+) -> impl Fn(usize, Vec<usize>, &Heartbeat) -> Expanded<S> + Send + Sync + 'static {
+    let (kernel, level) = (Arc::clone(kernel), Arc::clone(level));
+    move |w, batch: Vec<usize>, hb: &Heartbeat| kernel.expand(&level, batch, w, hb)
+}
+
+/// The steal scheduler's per-task job: expand one chunk. The pool runs
+/// it by reference, so a panicking chunk is still owned for its retry.
+fn chunk_job<S: NeighborSet>(
+    kernel: &Arc<Kernel<S>>,
+    level: &Arc<Level<S>>,
+) -> impl Fn(usize, &Range<usize>, &Heartbeat) -> Expanded<S> + Send + Sync + 'static {
+    let (kernel, level) = (Arc::clone(kernel), Arc::clone(level));
+    move |w, chunk: &Range<usize>, hb: &Heartbeat| kernel.expand(&level, chunk.clone(), w, hb)
+}
+
+/// Emit a level's maximal cliques into `sink` and concatenate its
+/// children into the next level — the one merge path of both
+/// schedulers. Each output's pieces ascend in level order, and all
+/// pieces together cover the level once (less any quarantined
+/// sub-list), so always taking the piece that starts lowest walks the
+/// level in order: the sequential emission order, with the children
+/// landing in canonical order. `placed(o, range)` reports where output
+/// `o`'s children landed in the next level. Returns the next level's
+/// sub-lists and the number of cliques emitted.
+fn merge_level<S: NeighborSet, K: CliqueSink>(
+    outputs: Vec<Expanded<S>>,
+    sink: &mut K,
+    mut placed: impl FnMut(usize, Range<usize>),
+) -> (Vec<SubList<S>>, usize) {
+    let mut next: Vec<SubList<S>> =
+        Vec::with_capacity(outputs.iter().map(|o| o.children.len()).sum());
+    let mut emitted = 0;
+    // An output is freed once its last piece is merged, so the level's
+    // children and cliques are never held twice over.
+    let mut parts: Vec<Option<_>> = outputs
+        .into_iter()
+        .map(|o| {
+            Some((
+                o.pieces.into_iter().peekable(),
+                o.cliques,
+                o.children.into_iter(),
+            ))
+        })
+        .collect();
+    loop {
+        let lowest = parts
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(o, part)| Some((part.as_mut()?.0.peek()?.sublists.start, o)))
+            .min();
+        let Some((_, o)) = lowest else { break };
+        let (pieces, cliques, children) = parts[o].as_mut().expect("has a piece");
+        let piece = pieces.next().expect("peeked");
+        for i in piece.cliques.clone() {
+            sink.maximal(cliques.clique(i));
+        }
+        emitted += piece.cliques.len();
+        let base = next.len();
+        next.extend(children.by_ref().take(piece.children));
+        placed(o, base..next.len());
+        if pieces.peek().is_none() {
+            parts[o] = None;
+        }
+    }
+    (next, emitted)
+}
+
+/// Frees finished levels off the calling thread: their sub-lists were
+/// allocated on the workers, and freeing a million of them there idles
+/// every worker for as long as it takes. Each level is freed on a
+/// thread of its own, overlapping the next levels' expansion; dropping
+/// the reaper waits for them all, so no level outlives the run that
+/// made it.
+#[derive(Default)]
+struct Reaper(Vec<std::thread::JoinHandle<()>>);
+
+impl Reaper {
+    fn free<T: Send + 'static>(&mut self, finished: T) {
+        // If no thread can be spawned, the closure — and `finished`
+        // with it — is dropped right here.
+        if let Ok(handle) = std::thread::Builder::new().spawn(move || drop(finished)) {
+            self.0.push(handle);
         }
     }
 }
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        for handle in self.0.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// A steal epoch over chunks of a level.
+type Epoch<S> = EpochOut<Range<usize>, Expanded<S>>;
 
 /// Everything one level expansion produced, whichever scheduler ran it.
 struct LevelExpansion<S: NeighborSet> {
-    /// Next level's per-worker seed queues (children keep their
-    /// producer's affinity; the barrier path additionally applies its
-    /// balance strategy).
-    new_queues: Vec<Vec<SubList<S>>>,
-    /// Maximal cliques of the level, unsorted.
-    maximal: Vec<Clique>,
-    and_ops: u64,
-    maximality_tests: u64,
+    /// Task outputs in any order (the merge puts them in level order).
+    outputs: Vec<Expanded<S>>,
+    /// The worker that produced each output: the barrier scheduler's
+    /// child affinity.
+    owners: Vec<usize>,
     /// Per-worker timing with the unified moved-work count filled in.
     timing: LevelStats,
     /// Whether the whole level was discarded and re-run from its
     /// snapshot (counts toward [`ParallelStats::retried_levels`]).
     retried_level: bool,
-    /// Whether anything was retried at all (level or single task) —
-    /// the telemetry `retried` flag.
-    retried: bool,
     /// Tasks that succeeded on an inline retry (steal scheduler only).
     retried_tasks: u64,
     /// Sub-lists isolated to the quarantine sidecar this level.
     quarantined: usize,
 }
 
-/// Partition sub-lists over `threads` queues with LPT on estimated cost.
-fn partition_level<S: NeighborSet>(
-    sublists: Vec<SubList<S>>,
-    threads: usize,
-) -> Vec<Vec<SubList<S>>> {
-    let costs: Vec<u64> = sublists.iter().map(SubList::cost).collect();
-    let parts = partition_greedy(&costs, threads);
-    let mut queues: Vec<Vec<SubList<S>>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut slots: Vec<Option<SubList<S>>> = sublists.into_iter().map(Some).collect();
-    for (w, idxs) in parts.iter().enumerate() {
-        for &i in idxs {
-            queues[w].push(slots[i].take().expect("each task assigned once"));
+impl<S: NeighborSet> LevelExpansion<S> {
+    fn new(k: usize, threads: usize) -> Self {
+        LevelExpansion {
+            outputs: Vec::new(),
+            owners: Vec::new(),
+            timing: LevelStats {
+                level: k,
+                per_worker_ns: vec![0; threads],
+                per_worker_units: vec![0; threads],
+                per_worker_tasks: vec![0; threads],
+                ..Default::default()
+            },
+            retried_level: false,
+            retried_tasks: 0,
+            quarantined: 0,
         }
     }
-    queues
+
+    /// Whether anything was retried at all (level or single task) —
+    /// the telemetry `retried` flag.
+    fn retried(&self) -> bool {
+        self.retried_level || self.retried_tasks > 0 || self.quarantined > 0
+    }
+
+    /// Account one output of worker `w` that took `ns` and counted as
+    /// `tasks` tasks.
+    fn add(&mut self, w: usize, out: Expanded<S>, ns: u64, tasks: usize) {
+        self.timing.per_worker_ns[w] += ns;
+        self.timing.per_worker_units[w] += out.units;
+        self.timing.per_worker_tasks[w] += tasks;
+        self.outputs.push(out);
+        self.owners.push(w);
+    }
+
+    /// Account a barrier round's per-worker outputs (a task is a
+    /// sub-list).
+    fn add_round(&mut self, outputs: Vec<(Expanded<S>, u64)>) {
+        for (w, (out, ns)) in outputs.into_iter().enumerate() {
+            let tasks = out.sublists;
+            self.add(w, out, ns, tasks);
+        }
+    }
+
+    /// Account a steal epoch's per-worker outputs and counters (a task
+    /// is a chunk); returns its convicted chunks.
+    fn add_epoch(&mut self, epoch: Epoch<S>) -> Vec<PoisonedTask<Range<usize>>> {
+        self.retried_tasks += epoch.retried_tasks;
+        self.timing.per_worker_steals = epoch.steal_stats.iter().map(|ss| ss.steals).collect();
+        self.timing.per_worker_idle_ns = epoch.steal_stats.iter().map(|ss| ss.idle_ns).collect();
+        for (w, (outs, ss)) in epoch
+            .results
+            .into_iter()
+            .zip(&epoch.steal_stats)
+            .enumerate()
+        {
+            for out in outs {
+                self.add(w, out, 0, 0);
+            }
+            self.timing.per_worker_ns[w] += ss.busy_ns;
+            self.timing.per_worker_tasks[w] += ss.tasks as usize;
+            self.timing.failed_steals += ss.failed_steals;
+        }
+        // Unified moved-work count: a successful steal is the steal
+        // scheduler's "transfer".
+        self.timing.transfers = self.timing.per_worker_steals.iter().sum::<u64>() as usize;
+        epoch.poisoned
+    }
 }
 
 /// The multithreaded Clique Enumerator.
@@ -445,7 +689,7 @@ impl ParallelEnumerator {
     /// (pool calls contain worker panics themselves), so a poisoned
     /// lock is recovered rather than propagated.
     fn pool(&self) -> MutexGuard<'_, WorkerPool> {
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.pool)
     }
 
     /// Enable the quarantine sidecar: when a level fails its retry, the
@@ -531,9 +775,9 @@ impl ParallelEnumerator {
         let wall = Instant::now();
         let mut stats = ParallelStats::default();
         let threads = self.pool().threads();
-        let rows = Arc::new(crate::enumerator::neighbor_rows::<S>(g));
+        let kernel = Arc::new(Kernel::<S>::new(g, threads));
 
-        let init = match start {
+        let mut init = match start {
             Some(level) => level,
             None => {
                 // Initialization is sequential and cheap relative to
@@ -548,14 +792,26 @@ impl ParallelEnumerator {
                 init
             }
         };
-        let mut k = init.k;
-
-        // Initial distribution: LPT over estimated sub-list costs.
-        let mut queues = partition_level(init.sublists, threads);
+        // Merging in level order is only the sequential order when the
+        // level is canonical; a snapshot written by an older runtime
+        // may not be.
+        if !init.sublists.is_sorted_by(|a, b| a.prefix <= b.prefix) {
+            init.sublists.sort_by(|a, b| a.prefix.cmp(&b.prefix));
+        }
+        let barrier_scheduler = self.config.scheduler == Scheduler::Barrier;
+        // Barrier scheduler only: per-worker queues of level indices,
+        // initially an LPT partition over estimated sub-list costs.
+        let mut queues = if barrier_scheduler {
+            partition_level(&init, threads)
+        } else {
+            Vec::new()
+        };
+        let mut level = Arc::new(init);
+        let mut reaper = Reaper::default();
 
         loop {
-            let total_tasks: usize = queues.iter().map(Vec::len).sum();
-            if total_tasks == 0 {
+            let k = level.k;
+            if level.sublists.is_empty() {
                 break;
             }
             if let Some(mx) = self.config.enum_config.max_k {
@@ -563,22 +819,20 @@ impl ParallelEnumerator {
                     break;
                 }
             }
-            // Snapshot this level before consuming it: the barrier hook
-            // checkpoints it, the memory watchdog inspects it, and a
-            // failed round retries from it.
-            let level_view = Level {
-                k,
-                sublists: queues.iter().flatten().cloned().collect(),
-            };
-            let memory = LevelMemory::account(&level_view, g.n());
-            match barrier(&level_view, &memory, sink)? {
+            let started = Instant::now();
+            // The barrier hook checkpoints the level, the memory
+            // watchdog inspects it, and a failed round retries from it:
+            // all borrow the one shared copy.
+            let memory = LevelMemory::account(&level, g.n());
+            match barrier(&level, &memory, sink)? {
                 BarrierControl::Continue => {}
                 BarrierControl::Degrade => {
                     stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
-                    return Ok(ParallelOutcome::Degraded {
-                        level: level_view,
-                        stats,
-                    });
+                    // No task has been handed this level yet, so the
+                    // loop holds its only reference.
+                    let level = Arc::try_unwrap(level)
+                        .unwrap_or_else(|_| unreachable!("unexpanded level is unshared"));
+                    return Ok(ParallelOutcome::Degraded { level, stats });
                 }
                 BarrierControl::Halt => {
                     stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
@@ -590,14 +844,11 @@ impl ParallelEnumerator {
             // barrier scheduler, a steal-scope epoch under the steal
             // scheduler. Either way the sink sees nothing until the
             // level is fully collected.
-            let batches: Vec<Vec<SubList<S>>> = std::mem::take(&mut queues);
             let expanded = match self.config.scheduler {
                 Scheduler::Barrier => {
-                    self.expand_level_barrier(g, &rows, &level_view, batches, threads)
+                    self.expand_level_barrier(&kernel, &level, std::mem::take(&mut queues))
                 }
-                Scheduler::Steal => {
-                    self.expand_level_steal(g, &rows, &level_view, batches, threads)
-                }
+                Scheduler::Steal => self.expand_level_steal(&kernel, &level),
             };
             let expansion = match expanded {
                 Ok(expansion) => expansion,
@@ -606,344 +857,243 @@ impl ParallelEnumerator {
                     return Err(e);
                 }
             };
-            drop(level_view);
             if expansion.retried_level {
                 stats.retried_levels.push(k);
             }
             stats.retried_tasks += expansion.retried_tasks;
             stats.quarantined += expansion.quarantined;
+            let retried = expansion.retried();
 
-            // Release the level's cliques in canonical (sequential)
-            // order: stage level-tagged, sort, forward — the sequencing
-            // discipline that preserves the paper's size-order output
-            // guarantee regardless of the completion order inside the
-            // level.
-            let mut seq = SequencingSink::new(&mut *sink);
-            for c in expansion.maximal {
-                seq.stage(k, c);
-            }
-            let maximal_found = seq.release(k);
+            // Release the level's cliques in canonical order and gather
+            // the next level; the barrier scheduler's children keep
+            // their producer's affinity.
+            let mut affinity: Vec<Vec<usize>> = vec![Vec::new(); threads];
+            let owners = expansion.owners;
+            let and_ops = expansion.outputs.iter().map(|o| o.and_ops).sum();
+            let maximality_tests = expansion.outputs.iter().map(|o| o.tests).sum();
+            let (sublists, maximal_found) = merge_level(expansion.outputs, sink, |o, placed| {
+                if barrier_scheduler {
+                    affinity[owners[o]].extend(placed);
+                }
+            });
             stats.total_maximal += maximal_found;
+            let mut timing = expansion.timing;
+            let next = Level { k: k + 1, sublists };
+            if barrier_scheduler {
+                timing.transfers = self.balance(&mut affinity, &next, threads);
+                queues = affinity;
+            }
+            reaper.free(std::mem::replace(&mut level, Arc::new(next)));
 
             stats.levels.push(LevelReport {
                 k,
                 sublists: memory.n_sublists,
                 candidates: memory.n_cliques,
                 maximal_found,
-                ns: *expansion.timing.per_worker_ns.iter().max().unwrap_or(&0),
+                ns: started.elapsed().as_nanos() as u64,
                 memory,
-                and_ops: expansion.and_ops,
-                maximality_tests: expansion.maximality_tests,
+                and_ops,
+                maximality_tests,
                 spilled: 0,
                 bytes_read: 0,
             });
-            stats.run.levels.push(expansion.timing);
+            stats.run.levels.push(timing);
             observe(
                 stats.levels.last().expect("just pushed"),
                 stats.run.levels.last().expect("just pushed"),
-                expansion.retried,
+                retried,
             );
-            queues = expansion.new_queues;
-            k += 1;
         }
+        drop(reaper);
         stats.run.wall_ns = wall.elapsed().as_nanos() as u64;
         Ok(ParallelOutcome::Complete(stats))
     }
 
+    /// The barrier scheduler's load balancing decision for the next
+    /// level's affinity queues (paper: after collecting results,
+    /// transfer from the heaviest to the lightest when the gap exceeds
+    /// the threshold). Returns the number of sub-lists moved.
+    fn balance<S: NeighborSet>(
+        &self,
+        queues: &mut Vec<Vec<usize>>,
+        next: &Level<S>,
+        threads: usize,
+    ) -> usize {
+        match self.config.strategy {
+            BalanceStrategy::Dynamic => {
+                let cost = |&i: &usize| next.sublists[i].cost();
+                let moved = rebalance(queues, cost, &self.config.policy);
+                if moved > 0 {
+                    for q in queues.iter_mut() {
+                        q.sort_unstable();
+                    }
+                }
+                moved
+            }
+            BalanceStrategy::Static => 0,
+            BalanceStrategy::Repartition => {
+                *queues = partition_level(next, threads);
+                0
+            }
+        }
+    }
+
+    /// The failure surfaced for a level that cannot complete.
+    fn round_error<S: NeighborSet>(
+        level: &Arc<Level<S>>,
+        error: RoundError,
+    ) -> ParallelRunError<S> {
+        ParallelRunError::Round {
+            k: level.k,
+            error,
+            level: Arc::clone(level),
+        }
+    }
+
     /// Expand one level as a level-synchronous round (the paper's §2.3
-    /// runtime): pre-partitioned batches, all-or-nothing collection, a
-    /// whole-level retry on failure, and the centralized balance
-    /// strategy applied to the children.
+    /// runtime): pre-partitioned batches, all-or-nothing collection,
+    /// and a whole-level retry on failure.
     fn expand_level_barrier<S: NeighborSet>(
         &self,
-        g: &Arc<BitGraph>,
-        rows: &Arc<Vec<S>>,
-        level_view: &Level<S>,
-        batches: Vec<Vec<SubList<S>>>,
-        threads: usize,
+        kernel: &Arc<Kernel<S>>,
+        level: &Arc<Level<S>>,
+        batches: Vec<Vec<usize>>,
     ) -> Result<LevelExpansion<S>, ParallelRunError<S>> {
         let deadline = self.config.worker_deadline;
-        let first = self.pool().run_round_supervised(
-            batches,
-            worker_job(Arc::clone(g), Arc::clone(rows)),
-            deadline,
-        );
-        let mut retried_level = false;
-        let mut quarantined = 0usize;
+        let threads = batches.len();
+        let mut expansion = LevelExpansion::new(level.k, threads);
+        let first = self
+            .pool()
+            .run_round_supervised(batches, batch_job(kernel, level), deadline);
         let outputs = match first {
             Ok(outputs) => outputs,
-            Err(round_error) => {
+            Err(_) => {
                 // The whole round is discarded; re-partition the
                 // snapshot and retry once on respawned workers.
-                let retry_batches = partition_level(level_view.sublists.clone(), threads);
+                expansion.retried_level = true;
                 // Bind before matching: a `self.pool()` in the
                 // scrutinee would hold the guard across every arm,
                 // deadlocking the quarantine arm's own lock.
                 let retry = self.pool().run_round_supervised(
-                    retry_batches,
-                    worker_job(Arc::clone(g), Arc::clone(rows)),
+                    partition_level(level, threads),
+                    batch_job(kernel, level),
                     deadline,
                 );
                 match retry {
-                    Ok(outputs) => {
-                        retried_level = true;
-                        outputs
-                    }
+                    Ok(outputs) => outputs,
                     Err(error) if self.quarantine.is_some() => {
                         // Last resort before aborting: isolate the
                         // poison sub-lists, quarantine them, and
                         // keep the level going without them.
-                        let _ = round_error; // superseded
-                        let (outputs, n_quarantined) =
-                            self.quarantine_level(g, rows, level_view, threads, &error)?;
-                        retried_level = true;
-                        quarantined = n_quarantined;
-                        outputs
+                        self.quarantine_level(kernel, level, &error, &mut expansion)?;
+                        return Ok(expansion);
                     }
-                    Err(error) => {
-                        let _ = round_error; // superseded by the retry's error
-                        return Err(ParallelRunError::Round {
-                            k: level_view.k,
-                            error,
-                            level: level_view.clone(),
-                        });
-                    }
+                    Err(error) => return Err(Self::round_error(level, error)),
                 }
             }
         };
-
-        let mut timing = LevelStats {
-            level: level_view.k,
-            ..Default::default()
-        };
-        let mut and_ops = 0u64;
-        let mut maximality_tests = 0u64;
-        let mut maximal: Vec<Clique> = Vec::new();
-        let mut new_queues: Vec<Vec<SubList<S>>> = Vec::with_capacity(threads);
-        for (out, ns) in outputs {
-            timing.per_worker_ns.push(ns);
-            timing.per_worker_units.push(out.units);
-            timing.per_worker_tasks.push(out.tasks);
-            and_ops += out.and_ops;
-            maximality_tests += out.tests;
-            maximal.extend(out.maximal);
-            new_queues.push(out.new_sublists);
-        }
-
-        // Load balancing decision (paper: after collecting results,
-        // transfer from the heaviest to the lightest when the gap
-        // exceeds the threshold).
-        timing.transfers = match self.config.strategy {
-            BalanceStrategy::Dynamic => {
-                rebalance(&mut new_queues, SubList::cost, &self.config.policy)
-            }
-            BalanceStrategy::Static => 0,
-            BalanceStrategy::Repartition => {
-                let flat: Vec<SubList<S>> = new_queues.drain(..).flatten().collect();
-                new_queues = partition_level(flat, threads);
-                0
-            }
-        };
-
-        Ok(LevelExpansion {
-            new_queues,
-            maximal,
-            and_ops,
-            maximality_tests,
-            timing,
-            retried_level,
-            retried: retried_level,
-            retried_tasks: 0,
-            quarantined,
-        })
+        expansion.add_round(outputs);
+        Ok(expansion)
     }
 
-    /// Expand one level as a steal-scope epoch: each sub-list is its
-    /// own task, idle workers steal, and children stay on the worker
-    /// that produced them as the next epoch's seed queues. A task that
-    /// panics is retried inline once by the pool; a deterministic
-    /// double-panic convicts just that sub-list — quarantined and
-    /// skipped when the sidecar is configured, otherwise surfaced as a
-    /// level failure (the barrier path's abort semantics). Only
+    /// Expand one level as a steal-scope epoch over cost-sized chunks.
+    /// A chunk that panics is retried inline once by the pool; a
+    /// deterministic double-panic convicts the chunk. With the sidecar
+    /// configured its sub-lists are then probed one at a time and the
+    /// poison ones quarantined and skipped; otherwise the conviction is
+    /// a level failure (the barrier path's abort semantics). Only
     /// supervision failures (stuck worker, dead thread) discard the
     /// epoch wholesale, which then gets the same one-retry-per-level
     /// treatment as a barrier round.
     fn expand_level_steal<S: NeighborSet>(
         &self,
-        g: &Arc<BitGraph>,
-        rows: &Arc<Vec<S>>,
-        level_view: &Level<S>,
-        queues: Vec<Vec<SubList<S>>>,
-        threads: usize,
+        kernel: &Arc<Kernel<S>>,
+        level: &Arc<Level<S>>,
     ) -> Result<LevelExpansion<S>, ParallelRunError<S>> {
         let deadline = self.config.worker_deadline;
-        let first = self.pool().run_epoch(
-            queues,
-            steal_task_job(Arc::clone(g), Arc::clone(rows)),
-            deadline,
-        );
-        let mut retried_level = false;
+        let threads = kernel.scratch.len();
+        let costs: Vec<u64> = level.sublists.iter().map(SubList::cost).collect();
+        let chunks = plan_chunks(&costs, threads);
+        let mut expansion = LevelExpansion::new(level.k, threads);
+        let first =
+            self.pool()
+                .run_epoch(deal(&chunks, threads), chunk_job(kernel, level), deadline);
         let out = match first {
             Ok(out) => out,
-            Err(round_error) => {
+            Err(_) => {
                 // Supervision failure: the epoch was frozen and its
-                // results discarded. Re-seed from the snapshot and
-                // retry once on respawned workers.
-                let retry_queues = partition_level(level_view.sublists.clone(), threads);
+                // results discarded. Retry once on respawned workers.
+                expansion.retried_level = true;
                 let retry = self.pool().run_epoch(
-                    retry_queues,
-                    steal_task_job(Arc::clone(g), Arc::clone(rows)),
+                    deal(&chunks, threads),
+                    chunk_job(kernel, level),
                     deadline,
                 );
                 match retry {
-                    Ok(out) => {
-                        retried_level = true;
-                        out
-                    }
+                    Ok(out) => out,
                     Err(_) if self.quarantine.is_some() => {
                         // A steal schedule doesn't map failures onto
                         // deterministic batches, so isolation falls
                         // back to the barrier machinery for this one
                         // level: its deterministic retry + probe
                         // rounds pin the poison sub-list(s) exactly.
-                        let batches = partition_level(level_view.sublists.clone(), threads);
-                        let _ = round_error; // superseded
-                        return self.expand_level_barrier(g, rows, level_view, batches, threads);
+                        let batches = partition_level(level, threads);
+                        let mut expansion = self.expand_level_barrier(kernel, level, batches)?;
+                        expansion.retried_level = true;
+                        return Ok(expansion);
                     }
-                    Err(error) => {
-                        let _ = round_error; // superseded by the retry's error
-                        return Err(ParallelRunError::Round {
-                            k: level_view.k,
-                            error,
-                            level: level_view.clone(),
-                        });
-                    }
+                    Err(error) => return Err(Self::round_error(level, error)),
                 }
             }
         };
-
-        // Convicted tasks: quarantine them (degraded-exact, recorded)
-        // or fail the level exactly as a twice-failed barrier round
-        // would — the sink has seen nothing of this level either way.
-        let mut quarantined = 0usize;
-        if !out.poisoned.is_empty() {
-            match &self.quarantine {
-                Some(path) => {
-                    let entries: Vec<QuarantineEntry> = out
-                        .poisoned
-                        .iter()
-                        .map(|p| QuarantineEntry {
-                            k: level_view.k as u64,
-                            prefix: p.task.prefix.clone(),
-                            tails: p.task.tails.clone(),
-                            reason: p.panic_message.clone(),
-                        })
-                        .collect();
-                    crate::quarantine::append_entries(path, &entries)
-                        .map_err(|e| ParallelRunError::Store(StoreError::Io(e)))?;
-                    quarantined = entries.len();
-                }
-                None => {
-                    let error = RoundError {
-                        failures: out
-                            .poisoned
-                            .iter()
-                            .map(|p| WorkerFailure {
-                                worker: p.worker,
-                                deadline: false,
-                                panic_message: p.panic_message.clone(),
-                            })
-                            .collect(),
-                    };
-                    return Err(ParallelRunError::Round {
-                        k: level_view.k,
-                        error,
-                        level: level_view.clone(),
-                    });
-                }
+        let poisoned = expansion.add_epoch(out);
+        // Convicted chunks: re-run their sub-lists one at a time to
+        // narrow them to the poison ones, or fail the level exactly as
+        // a twice-failed barrier round would — the sink has seen
+        // nothing of this level either way.
+        if !poisoned.is_empty() {
+            if self.quarantine.is_none() {
+                let failures = poisoned
+                    .into_iter()
+                    .map(|p| WorkerFailure {
+                        worker: p.worker,
+                        deadline: false,
+                        panic_message: p.panic_message,
+                    })
+                    .collect();
+                return Err(Self::round_error(level, RoundError { failures }));
             }
+            let suspects: Vec<usize> = poisoned.into_iter().flat_map(|p| p.task).collect();
+            self.probe(kernel, level, &suspects, &mut expansion)?;
         }
-
-        let EpochOut {
-            results,
-            steal_stats,
-            poisoned: _,
-            retried_tasks,
-        } = out;
-        let mut timing = LevelStats {
-            level: level_view.k,
-            ..Default::default()
-        };
-        let mut and_ops = 0u64;
-        let mut maximality_tests = 0u64;
-        let mut maximal: Vec<Clique> = Vec::new();
-        let mut new_queues: Vec<Vec<SubList<S>>> = Vec::with_capacity(threads);
-        for (task_outs, ss) in results.into_iter().zip(&steal_stats) {
-            let mut children: Vec<SubList<S>> = Vec::new();
-            let mut units = 0u64;
-            for t in task_outs {
-                children.extend(t.new_sublists);
-                maximal.extend(t.maximal);
-                units += t.units;
-                and_ops += t.and_ops;
-                maximality_tests += t.tests;
-            }
-            new_queues.push(children);
-            timing.per_worker_ns.push(ss.busy_ns);
-            timing.per_worker_units.push(units);
-            timing.per_worker_tasks.push(ss.tasks as usize);
-            timing.per_worker_steals.push(ss.steals);
-            timing.per_worker_idle_ns.push(ss.idle_ns);
-            timing.failed_steals += ss.failed_steals;
-        }
-        // Unified moved-work count: a successful steal is the steal
-        // scheduler's "transfer".
-        timing.transfers = timing.per_worker_steals.iter().sum::<u64>() as usize;
-
-        Ok(LevelExpansion {
-            new_queues,
-            maximal,
-            and_ops,
-            maximality_tests,
-            timing,
-            retried_level,
-            retried: retried_level || retried_tasks > 0 || quarantined > 0,
-            retried_tasks,
-            quarantined,
-        })
+        Ok(expansion)
     }
 
     /// Isolate a level that failed its retry: rerun the batches of the
     /// workers that *didn't* fail (all-or-nothing still applies to
-    /// them), then probe the failed workers' sub-lists one per worker
-    /// so each failure pins down exactly one sub-list. Poison sub-lists
-    /// go to the quarantine sidecar; everything else is folded back
-    /// into the level's outputs. Returns the merged per-worker outputs
-    /// and how many sub-lists were quarantined.
-    #[allow(clippy::type_complexity)]
+    /// them), then [`probe`](Self::probe) the failed workers'
+    /// sub-lists.
     fn quarantine_level<S: NeighborSet>(
         &self,
-        g: &Arc<BitGraph>,
-        rows: &Arc<Vec<S>>,
-        level_view: &Level<S>,
-        threads: usize,
+        kernel: &Arc<Kernel<S>>,
+        level: &Arc<Level<S>>,
         error: &RoundError,
-    ) -> Result<(Vec<(WorkerOut<S>, u64)>, usize), ParallelRunError<S>> {
-        let path = self.quarantine.as_ref().expect("caller checked");
+        expansion: &mut LevelExpansion<S>,
+    ) -> Result<(), ParallelRunError<S>> {
         let deadline = self.config.worker_deadline;
+        let threads = kernel.scratch.len();
         // The retry round's partition is deterministic (LPT over the
         // same snapshot), so recreating it maps each reported worker
         // failure back onto the exact batch that triggered it.
-        let batches = partition_level(level_view.sublists.clone(), threads);
         let mut failed = vec![false; threads];
         for f in &error.failures {
             if let Some(slot) = failed.get_mut(f.worker) {
                 *slot = true;
             }
         }
-        let mut suspects: Vec<SubList<S>> = Vec::new();
-        let mut clean_batches: Vec<Vec<SubList<S>>> = Vec::with_capacity(threads);
-        for (w, batch) in batches.into_iter().enumerate() {
+        let mut suspects: Vec<usize> = Vec::new();
+        let mut clean_batches: Vec<Vec<usize>> = Vec::with_capacity(threads);
+        for (w, batch) in partition_level(level, threads).into_iter().enumerate() {
             if failed[w] {
                 suspects.extend(batch);
                 clean_batches.push(Vec::new());
@@ -951,59 +1101,58 @@ impl ParallelEnumerator {
                 clean_batches.push(batch);
             }
         }
-        let mut outputs = self
+        let outputs = self
             .pool()
-            .run_round_supervised(
-                clean_batches,
-                worker_job(Arc::clone(g), Arc::clone(rows)),
-                deadline,
-            )
-            .map_err(|error| ParallelRunError::Round {
-                k: level_view.k,
-                error,
-                level: level_view.clone(),
-            })?;
-        // Probe the suspects in waves of one sub-list per worker.
+            .run_round_supervised(clean_batches, batch_job(kernel, level), deadline)
+            .map_err(|error| Self::round_error(level, error))?;
+        expansion.add_round(outputs);
+        self.probe(kernel, level, &suspects, expansion)
+    }
+
+    /// Pin failures down to single sub-lists: run `suspects` in waves
+    /// of one sub-list per worker, each probe reported on its own, so
+    /// every failure (panic or missed deadline) names exactly one
+    /// sub-list. Poison sub-lists go to the quarantine sidecar, one
+    /// entry each; the others' output joins the level.
+    fn probe<S: NeighborSet>(
+        &self,
+        kernel: &Arc<Kernel<S>>,
+        level: &Arc<Level<S>>,
+        suspects: &[usize],
+        expansion: &mut LevelExpansion<S>,
+    ) -> Result<(), ParallelRunError<S>> {
+        let threads = kernel.scratch.len();
         let mut entries: Vec<QuarantineEntry> = Vec::new();
         for wave in suspects.chunks(threads) {
-            let mut probe_batches: Vec<Vec<SubList<S>>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (j, sl) in wave.iter().enumerate() {
-                probe_batches[j] = vec![sl.clone()];
+            let mut probe_batches: Vec<Vec<usize>> = vec![Vec::new(); threads];
+            for (j, &i) in wave.iter().enumerate() {
+                probe_batches[j].push(i);
             }
             let slots = self.pool().run_round_isolated(
                 probe_batches,
-                worker_job(Arc::clone(g), Arc::clone(rows)),
-                deadline,
+                batch_job(kernel, level),
+                self.config.worker_deadline,
             );
-            for (j, slot) in slots.into_iter().enumerate() {
-                let Some(suspect) = wave.get(j) else {
-                    continue; // padding slot (empty batch)
-                };
+            for (j, (&i, slot)) in wave.iter().zip(slots).enumerate() {
                 match slot {
-                    Ok((out, ns)) => {
-                        let (acc, acc_ns) = &mut outputs[j];
-                        acc.new_sublists.extend(out.new_sublists);
-                        acc.maximal.extend(out.maximal);
-                        acc.tasks += out.tasks;
-                        acc.units += out.units;
-                        acc.and_ops += out.and_ops;
-                        acc.tests += out.tests;
-                        *acc_ns += ns;
+                    Ok((out, ns)) => expansion.add(j, out, ns, 1),
+                    Err(failure) => {
+                        let sl = &level.sublists[i];
+                        entries.push(QuarantineEntry {
+                            k: level.k as u64,
+                            prefix: sl.prefix.clone(),
+                            tails: sl.tails.clone(),
+                            reason: failure.panic_message,
+                        });
                     }
-                    Err(failure) => entries.push(QuarantineEntry {
-                        k: level_view.k as u64,
-                        prefix: suspect.prefix.clone(),
-                        tails: suspect.tails.clone(),
-                        reason: failure.panic_message,
-                    }),
                 }
             }
         }
-        let n_quarantined = entries.len();
+        let path = self.quarantine.as_ref().expect("caller checked");
         crate::quarantine::append_entries(path, &entries)
             .map_err(|e| ParallelRunError::Store(StoreError::Io(e)))?;
-        Ok((outputs, n_quarantined))
+        expansion.quarantined += entries.len();
+        Ok(())
     }
 }
 
@@ -1011,6 +1160,7 @@ impl ParallelEnumerator {
 mod tests {
     use super::*;
     use crate::bk::base_bk_sorted;
+    use crate::sink::CollectSink;
     use crate::Vertex;
     use gsb_graph::generators::{gnp, planted, Module};
 
@@ -1258,5 +1408,52 @@ mod tests {
         let mut got = sink.cliques;
         got.sort();
         assert_eq!(got, bk_at_least(&g, 3));
+    }
+
+    #[test]
+    fn chunk_plans_are_contiguous_complete_deterministic_and_thread_sized() {
+        let mut rng = gsb_graph::rng::SplitMix64::new(0x5eed);
+        for n in [0usize, 1, 2, 7, 100, 1_000, 100_000] {
+            // Quadratic costs with a heavy tail, like real tail counts.
+            let costs: Vec<u64> = (0..n)
+                .map(|_| {
+                    let bound = if rng.below(50) == 0 { 400 } else { 12 };
+                    let t = rng.below(bound);
+                    t * t
+                })
+                .collect();
+            for threads in [1usize, 2, 3, 8, 64] {
+                let plan = plan_chunks(&costs, threads);
+                assert_eq!(plan, plan_chunks(&costs, threads), "deterministic");
+                assert!(
+                    plan.len() <= 2 * CHUNKS_PER_THREAD * threads + 1,
+                    "n={n} threads={threads}: {} chunks",
+                    plan.len()
+                );
+                let mut next = 0;
+                for chunk in &plan {
+                    assert_eq!(chunk.start, next, "contiguous, no gap or overlap");
+                    assert!(chunk.end > chunk.start, "no empty chunk");
+                    next = chunk.end;
+                }
+                assert_eq!(next, n, "every sub-list covered");
+            }
+        }
+        // A sub-list costlier than the quantum ends its chunk, and the
+        // cheap ones around it are still split by count, not lumped
+        // into one chunk behind the mispriced estimate.
+        let mut costs = vec![1u64; 100];
+        costs[50] = 1_000_000;
+        let plan = plan_chunks(&costs, 2);
+        assert!(plan.iter().any(|c| c.end == 51), "{plan:?}");
+        assert!(plan.iter().all(|c| c.len() <= 4), "{plan:?}");
+    }
+
+    #[test]
+    fn dealing_preserves_every_task_in_order() {
+        let dealt = deal(&(0..10).map(|i| i..i + 1).collect::<Vec<_>>(), 3);
+        assert_eq!(dealt.len(), 3);
+        let flat: Vec<Range<usize>> = dealt.into_iter().flatten().collect();
+        assert_eq!(flat, (0..10).map(|i| i..i + 1).collect::<Vec<_>>());
     }
 }

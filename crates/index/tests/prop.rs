@@ -148,7 +148,7 @@ fn sweep_queries(index: &CliqueIndex) -> Result<(), StoreError> {
     }
     for v in 0..index.n() as u32 {
         let ids = index.containing(v)?;
-        index.materialize(ids.into_iter())?;
+        index.materialize(ids)?;
     }
     index.max_clique()?;
     index.overlap(0, 1)?;

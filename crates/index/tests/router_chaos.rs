@@ -149,10 +149,13 @@ fn fault_listener(stall: bool) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) 
     (addr, stop, handle)
 }
 
-/// A port that refuses connections: bind to learn a free port, then
-/// close the listener before the router ever dials it.
+/// An address that refuses connections for the whole test run. Every
+/// server in this suite binds `127.0.0.1`, so a port learned on
+/// `127.0.0.2` (the listener is closed before the router dials it) can
+/// never be rebound by a sibling test's backend: a connection to it is
+/// always refused, never answered by another shard.
 fn dead_port() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let listener = TcpListener::bind("127.0.0.2:0").expect("bind a second loopback address");
     listener.local_addr().expect("addr")
 }
 

@@ -62,8 +62,8 @@ pub fn partition_greedy(costs: &[u64], workers: usize) -> Vec<Vec<usize>> {
 /// below the policy threshold (or no single move can improve it).
 /// Mutates the real task queues directly — `cost` prices each task —
 /// and returns the number of tasks moved, which callers fold into the
-/// unified moved-work count of [`LevelStats::transfers`]
-/// (crate::stats::LevelStats::transfers).
+/// unified moved-work count of
+/// [`LevelStats::transfers`](crate::stats::LevelStats::transfers).
 pub fn rebalance<T>(
     queues: &mut [Vec<T>],
     cost: impl Fn(&T) -> u64,

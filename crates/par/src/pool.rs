@@ -46,27 +46,34 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// deadline.
 #[derive(Clone, Debug)]
 pub struct Heartbeat {
-    beats: Arc<Vec<AtomicU64>>,
+    beats: Arc<Vec<Beat>>,
 }
+
+/// One worker's counter on a cache line of its own: workers beat once
+/// per sub-list, and counters sharing a line would bounce it between
+/// cores on every beat.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Beat(AtomicU64);
 
 impl Heartbeat {
     fn new(threads: usize) -> Self {
         Heartbeat {
-            beats: Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect()),
+            beats: Arc::new((0..threads).map(|_| Beat::default()).collect()),
         }
     }
 
     /// Record progress for `worker` (out-of-range indices are ignored).
     pub fn beat(&self, worker: usize) {
         if let Some(b) = self.beats.get(worker) {
-            b.fetch_add(1, Ordering::Relaxed);
+            b.0.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn count(&self, worker: usize) -> u64 {
         self.beats
             .get(worker)
-            .map_or(0, |b| b.load(Ordering::Relaxed))
+            .map_or(0, |b| b.0.load(Ordering::Relaxed))
     }
 }
 

@@ -7,8 +7,8 @@
 
 /// Busy times of every worker for one level (a synchronous round under
 /// the barrier scheduler, a steal-scope epoch under the work-stealing
-/// scheduler). One imbalance model covers both: [`transfers`]
-/// (Self::transfers) counts every task that changed workers, whether
+/// scheduler). One imbalance model covers both:
+/// [`transfers`](Self::transfers) counts every task that changed workers, whether
 /// the centralized balancer moved it at the barrier or an idle worker
 /// stole it mid-epoch.
 #[derive(Clone, Debug, Default)]

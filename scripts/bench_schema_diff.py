@@ -2,8 +2,8 @@
 """Compare the key structure of two bench JSON files.
 
 CI regenerates the perf baselines (results/BENCH_backends.json,
-results/BENCH_query.json) and runs this script against the committed
-copies. Values are expected to drift run to run — the machine differs —
+results/BENCH_query.json, results/BENCH_parallel.json, ...) and runs
+this script against the committed copies. Values are expected to drift run to run — the machine differs —
 but the *schema* must not: a missing field, a renamed query, or a
 dropped backend record means a downstream consumer of the baseline
 silently broke.
@@ -26,8 +26,8 @@ import sys
 def key_paths(value, prefix=""):
     """Every key path in the JSON tree. Arrays contribute the schema of
     their first element (records in one array share a shape) plus their
-    identifying 'backend'/'query'/'bench' values so a dropped record is
-    a schema change, not just a value change."""
+    identifying 'backend'/'query'/'bench'/'workload'/'runtime' values so
+    a dropped record is a schema change, not just a value change."""
     paths = set()
     if isinstance(value, dict):
         for key, child in value.items():
@@ -39,7 +39,7 @@ def key_paths(value, prefix=""):
             paths |= key_paths(value[0], f"{prefix}[]")
         for element in value:
             if isinstance(element, dict):
-                for tag in ("backend", "query", "bench"):
+                for tag in ("backend", "query", "bench", "workload", "runtime"):
                     if tag in element:
                         paths.add(f"{prefix}[].{tag}={element[tag]}")
     return paths
