@@ -22,7 +22,7 @@
 //!
 //! Run from the repo root:
 //! `cargo run --release -p gsb-bench --bin bench_parallel [-- --smoke]`.
-//! `--smoke` swaps the dense workload for G(n=1000, p=0.16, seed 3) so
+//! `--smoke` swaps the dense workload for G(n=1200, p=0.16, seed 3) so
 //! CI can regenerate the file in seconds; its fingerprint says so.
 
 use gsb_bench::workloads::steal_workload;
@@ -37,13 +37,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Fresh-process runs per configuration.
-const REPS: usize = 3;
+const REPS: usize = 5;
 
 const WORKLOADS: [&str; 2] = ["dense", "skewed"];
 
 fn workload(name: &str, smoke: bool) -> BitGraph {
     match name {
-        "dense" => gnp(if smoke { 1000 } else { 1800 }, 0.16, 3),
+        "dense" => gnp(if smoke { 1200 } else { 1800 }, 0.16, 3),
         "skewed" => steal_workload(),
         other => panic!("unknown workload {other}"),
     }
