@@ -36,10 +36,11 @@ mod signals {
 
 /// Graceful shutdown only makes sense when there is durable state to
 /// hand over (`resume`, or `cliques` running with a checkpoint dir) or
-/// in-flight work to drain (`serve` answering accepted connections).
+/// in-flight work to drain (`serve` and `router` answering accepted
+/// connections).
 fn wants_supervision(argv: &[String]) -> bool {
     match argv.first().map(String::as_str) {
-        Some("resume") | Some("serve") => true,
+        Some("resume") | Some("serve") | Some("router") => true,
         Some("cliques") => argv.iter().any(|a| a == "--checkpoint-dir"),
         _ => false,
     }
@@ -59,5 +60,22 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(e.exit_code());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wants_supervision;
+
+    #[test]
+    fn front_ends_and_checkpointed_runs_drain_on_signals() {
+        let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert!(wants_supervision(&argv(&["serve", "idx/"])));
+        assert!(wants_supervision(&argv(&["router", "topo.txt"])));
+        assert!(wants_supervision(&argv(&["resume", "ckpt/"])));
+        let checkpointed = argv(&["cliques", "g.txt", "--checkpoint-dir", "ckpt/"]);
+        assert!(wants_supervision(&checkpointed));
+        assert!(!wants_supervision(&argv(&["cliques", "g.txt"])));
+        assert!(!wants_supervision(&argv(&["stats", "g.txt"])));
     }
 }

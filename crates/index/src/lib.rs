@@ -20,6 +20,10 @@
 //!   answering JSON queries, with per-endpoint latency histograms from
 //!   `gsb_telemetry`, graceful SIGINT/SIGTERM drain via
 //!   [`gsb_core::ShutdownToken`], and a per-connection deadline.
+//!   It and [`router`] (`gsb router`) are handlers behind one HTTP
+//!   front end, the crate-private `http` module: accept loop,
+//!   admission queue, worker pool, request reader, response writer,
+//!   and metric table.
 //!
 //! ## Why the size order matters
 //!
@@ -36,6 +40,7 @@
 
 pub mod compact;
 pub mod format;
+mod http;
 pub mod reader;
 pub mod router;
 pub mod scrub;

@@ -40,27 +40,29 @@
 //!   pass through). Only when *no* shard has a live replica does the
 //!   router answer a typed 503.
 //!
-//! The front reuses the serving substrate: bounded admission queue
-//! with typed sheds, request-deadline budget from accept, worker panic
-//! containment, `X-Gsb-Trace` propagation to backends (so `gsb tail`
-//! stitches router→backend spans), and `/metrics` Prometheus output
-//! with per-backend breaker-state gauges and hedge/retry counters.
+//! The router is a handler behind the same HTTP front end as the
+//! backend server (the crate-private `http` module): bounded admission
+//! queue with typed sheds (probes and scrapes still answered inline
+//! when it is full), request-deadline budget from accept, worker panic
+//! containment, and drain. It adds `X-Gsb-Trace` propagation to backends (so `gsb tail`
+//! stitches router→backend spans) and, to `/metrics`, per-backend
+//! breaker-state gauges and hedge/retry counters.
 
-use crate::server::{
-    find_head_end, header_value, latency_key, parse_route, requests_key, respond_full, status_key,
-    AddNamed, Route, CONTENT_TYPE_JSON, CONTENT_TYPE_PROM, ENDPOINTS, STATUS_LABELS,
+use crate::http::{
+    self, degraded_field, AddNamed, Answer, Family, Handler, Limits, Profile, Query, Series,
+    CONTENT_TYPE_JSON,
 };
 use gsb_core::{RetryPolicy, ShutdownToken, StoreError};
 use gsb_graph::rng::SplitMix64;
 use gsb_telemetry::json::{parse as json_parse, JsonValue};
-use gsb_telemetry::promtext::{PromKind, PromWriter};
-use gsb_telemetry::trace::{valid_trace_id, SpanRecorder, TraceIdGen};
+use gsb_telemetry::promtext::PromKind::{self, Counter};
+use gsb_telemetry::promtext::PromWriter;
+use gsb_telemetry::trace::SpanRecorder;
 use gsb_telemetry::AtomicRecorder;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -466,17 +468,29 @@ impl LatencyWindow {
     }
 }
 
-/// Everything the workers, accept loop, and prober share.
+/// The router's own recorder families; the front end adds the shared
+/// ones (requests, latency, sheds, statuses, queue, connection errors).
+#[rustfmt::skip]
+const ROUTER_FAMILIES: &[Family] = &[
+    Family::new("retries_total", Counter, Series::Key("router.retries"),
+        Some("retries"), "Backend tries that failed and were retried on another replica."),
+    Family::new("hedges_total", Counter, Series::Key("router.hedges"),
+        Some("hedges"), "Hedged second tries launched past the hedge latency percentile."),
+    Family::new("hedge_wins_total", Counter, Series::Key("router.hedge_wins"),
+        Some("hedge_wins"), "Hedged tries that answered first."),
+    Family::new("degraded_answers_total", Counter, Series::Key("router.degraded_answers"),
+        Some("degraded_answers"),
+        "Answers missing at least one shard or passing through backend degradation."),
+];
+
+/// The router handler: the tier's backends, their breakers and latency
+/// windows, and the recorder the front end shares.
 struct RouterState {
     topology: Topology,
     config: RouterConfig,
     /// `backends[shard][replica]`.
     backends: Vec<Vec<Arc<Backend>>>,
     recorder: AtomicRecorder,
-    queue_depth: AtomicUsize,
-    draining: AtomicBool,
-    started: Instant,
-    trace_ids: Mutex<TraceIdGen>,
     /// Round-robin cursor spreading load across replicas.
     rr: AtomicUsize,
     /// Per-shard latency windows feeding the hedge delay.
@@ -488,10 +502,6 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn next_trace_id(&self) -> String {
-        self.trace_ids.lock().unwrap().next_id()
-    }
-
     /// The hedge delay for `shard`: observed `hedge_percentile`
     /// latency, floored at `hedge_min`.
     fn hedge_delay(&self, shard: usize) -> Duration {
@@ -500,31 +510,114 @@ impl RouterState {
             .unwrap_or(self.config.hedge_min);
         observed.max(self.config.hedge_min)
     }
+}
 
-    fn retry_after_secs(&self) -> u32 {
-        let limit = self.config.queue_limit.max(1);
-        let depth = self.queue_depth.load(Ordering::Acquire).min(limit);
-        (1 + (7 * depth) / limit) as u32
+impl Handler for RouterState {
+    const PROFILE: Profile = Profile {
+        role: "router",
+        bench: "gsb_router",
+        prefix: "gsb_router",
+        health: "{\"status\":\"ok\",\"role\":\"router\"}",
+        degraded_key: "router.degraded_answers",
+        families: ROUTER_FAMILIES,
+    };
+
+    fn recorder(&self) -> &AtomicRecorder {
+        &self.recorder
     }
 
-    /// Shed a client connection with a typed response (drains one
-    /// bounded read first so the kernel does not RST the reply away).
-    fn shed(&self, stream: &mut TcpStream, status: u16, message: &str, key: &'static str) {
-        self.recorder.add_named(key, 1);
-        self.recorder.add_named("http.shed_total", 1);
-        self.recorder.add_named(status_key(status), 1);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut scratch = [0u8; 1024];
-        let _ = stream.read(&mut scratch);
-        let body = format!("{{\"error\":\"{message}\",\"shed\":true}}");
-        let retry = self.retry_after_secs();
-        if respond_full(stream, status, &body, 0, retry, CONTENT_TYPE_JSON, &[]).is_err() {
-            self.recorder.add_named("http.write_errors", 1);
+    /// Ready means not draining and every shard has a live replica.
+    fn ready(&self, draining: bool) -> (u16, String) {
+        let live = live_shards(self);
+        let shards = self.topology.shards.len();
+        let ready = !draining && live == shards;
+        let body = format!(
+            "{{\"ready\":{ready},\"draining\":{draining},\"shards\":{shards},\"live_shards\":{live}}}"
+        );
+        (if ready { 200 } else { 503 }, body)
+    }
+
+    fn answer(
+        &self,
+        query: &Query,
+        limit: usize,
+        accepted_at: Instant,
+        span: &mut SpanRecorder,
+    ) -> Answer {
+        dispatch(self, query, limit, accepted_at, span.trace_id())
+    }
+
+    /// Per-backend breaker state, failure and probe counters, and the
+    /// per-shard unavailability counters.
+    fn promtext(&self, w: &mut PromWriter) {
+        let bstate = w.family(
+            "gsb_router_backend_state",
+            PromKind::Gauge,
+            "Circuit breaker state per backend: 0 closed, 1 half-open, 2 open.",
+        );
+        let bfail = w.family(
+            "gsb_router_backend_failures_total",
+            PromKind::Counter,
+            "Failed tries per backend (passive accounting + probes).",
+        );
+        let bok = w.family(
+            "gsb_router_backend_successes_total",
+            PromKind::Counter,
+            "Successful answers per backend.",
+        );
+        let bprobe = w.family(
+            "gsb_router_probe_failures_total",
+            PromKind::Counter,
+            "Failed /ready probes per backend.",
+        );
+        for b in self.backends.iter().flatten() {
+            let shard = b.shard.to_string();
+            let labels = [("backend", b.addr.as_str()), ("shard", shard.as_str())];
+            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            w.sample(&bstate, &labels, u64::from(b.state_gauge()));
+            w.sample(&bfail, &labels, load(&b.failures_total));
+            w.sample(&bok, &labels, load(&b.successes_total));
+            w.sample(&bprobe, &labels, load(&b.probe_failures_total));
+        }
+        let unavailable = w.family(
+            "gsb_router_shard_unavailable_total",
+            PromKind::Counter,
+            "Requests that found a shard with no live replica.",
+        );
+        for (k, c) in self.shard_unavailable.iter().enumerate() {
+            let shard = k.to_string();
+            let labels = [("shard", shard.as_str())];
+            w.sample(&unavailable, &labels, c.load(Ordering::Relaxed));
         }
     }
 
-    fn live_metrics_json(&self) -> String {
-        render_router_metrics_json(self)
+    fn json(&self) -> String {
+        let backends: Vec<String> = self
+            .backends
+            .iter()
+            .flatten()
+            .map(|b| {
+                format!(
+                    "\n    {{\"backend\":\"{}\",\"shard\":{},\"state\":{},\"successes\":{},\"failures\":{},\"probe_failures\":{}}}",
+                    b.addr,
+                    b.shard,
+                    b.state_gauge(),
+                    b.successes_total.load(Ordering::Relaxed),
+                    b.failures_total.load(Ordering::Relaxed),
+                    b.probe_failures_total.load(Ordering::Relaxed),
+                )
+            })
+            .collect();
+        let unavailable: Vec<String> = self
+            .shard_unavailable
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed).to_string())
+            .collect();
+        format!(
+            ",\n  \"shard_unavailable\": [{}],\n  \"backends\": [{}\n  ]",
+            unavailable.join(","),
+            backends.join(",")
+        )
     }
 }
 
@@ -533,12 +626,6 @@ pub struct Router {
     listener: TcpListener,
     topology: Topology,
     config: RouterConfig,
-}
-
-/// A client connection waiting in the admission queue.
-struct Conn {
-    stream: TcpStream,
-    accepted_at: Instant,
 }
 
 impl Router {
@@ -560,8 +647,7 @@ impl Router {
     /// the backend server: answer everything accepted, shed the
     /// backlog typed, join workers and the prober, export metrics.
     pub fn run(self, shutdown: &ShutdownToken) -> std::io::Result<RouterReport> {
-        let started = Instant::now();
-        self.listener.set_nonblocking(true)?;
+        let c = self.config;
         let backends: Vec<Vec<Arc<Backend>>> = self
             .topology
             .shards
@@ -579,127 +665,44 @@ impl Router {
             topology: self.topology,
             backends,
             recorder: AtomicRecorder::new(),
-            queue_depth: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            started,
-            trace_ids: Mutex::new(TraceIdGen::seeded(self.config.trace_seed)),
             rr: AtomicUsize::new(0),
             latency: (0..shard_count).map(|_| LatencyWindow::new()).collect(),
             shard_unavailable: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            rng: Mutex::new(SplitMix64::new(self.config.retry_seed)),
-            config: self.config.clone(),
+            rng: Mutex::new(SplitMix64::new(c.retry_seed)),
+            config: c.clone(),
         });
-
         let prober = {
-            let state = Arc::clone(&state);
-            let shutdown = shutdown.clone();
+            let (state, shutdown) = (Arc::clone(&state), shutdown.clone());
             std::thread::Builder::new()
                 .name("gsb-router-probe".into())
                 .spawn(move || probe_loop(&state, &shutdown))?
         };
-        let (tx, rx) = mpsc::channel::<Conn>();
-        let rx = Arc::new(Mutex::new(rx));
-        let threads = self.config.threads.max(1);
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("gsb-router-{i}"))
-                    .spawn(move || worker_loop(&rx, &state))?,
-            );
-        }
-
-        let mut connections = 0u64;
-        while !shutdown.is_requested() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    connections += 1;
-                    state.recorder.add_named("http.connections", 1);
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(self.config.deadline));
-                    let _ = stream.set_write_timeout(Some(self.config.deadline));
-                    let _ = stream.set_nodelay(true);
-                    let depth = state.queue_depth.load(Ordering::Acquire);
-                    if depth >= self.config.queue_limit {
-                        let mut stream = stream;
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                        state.shed(
-                            &mut stream,
-                            503,
-                            "router overloaded, admission queue full",
-                            "http.shed.queue_full",
-                        );
-                        continue;
-                    }
-                    let depth = state.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-                    state.recorder.gauge("http.queue_depth").set(depth as u64);
-                    if tx
-                        .send(Conn {
-                            stream,
-                            accepted_at: Instant::now(),
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => {
-                    state.recorder.add_named("http.accept_errors", 1);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-
-        state.draining.store(true, Ordering::Release);
-        while let Ok((mut stream, _)) = self.listener.accept() {
-            connections += 1;
-            state.recorder.add_named("http.connections", 1);
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            state.shed(
-                &mut stream,
-                503,
-                "router draining for shutdown",
-                "http.shed.draining",
-            );
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        let _ = prober.join();
-
-        let mut requests = 0u64;
-        for ep in ENDPOINTS {
-            requests += state.recorder.counter(requests_key(ep)).get();
-        }
-        let metrics_json = render_router_metrics_json(&state);
-        if let Some(path) = &self.config.metrics_out {
-            let bytes = metrics_json.clone().into_bytes();
-            RetryPolicy::default().run_io(|| {
-                let tmp = path.with_extension("json.tmp");
-                {
-                    let mut f = std::fs::File::create(&tmp)?;
-                    f.write_all(&bytes)?;
-                    f.sync_all()?;
-                }
-                std::fs::rename(&tmp, path)
-            })?;
-        }
+        let limits = Limits {
+            threads: c.threads,
+            deadline: c.deadline,
+            request_deadline: c.request_deadline,
+            queue_limit: c.queue_limit,
+            max_header_bytes: c.max_header_bytes,
+            trace_seed: c.trace_seed,
+            metrics_out: c.metrics_out,
+        };
+        let drained = http::serve(
+            self.listener,
+            Arc::clone(&state),
+            limits,
+            vec![prober],
+            shutdown,
+        )?;
+        let r = &state.recorder;
         Ok(RouterReport {
-            connections,
-            requests,
-            shed: state.recorder.counter("http.shed_total").get(),
-            retries: state.recorder.counter("router.retries").get(),
-            hedges: state.recorder.counter("router.hedges").get(),
-            hedge_wins: state.recorder.counter("router.hedge_wins").get(),
-            degraded_answers: state.recorder.counter("router.degraded_answers").get(),
-            metrics_json,
+            connections: drained.connections,
+            requests: drained.requests,
+            shed: drained.shed,
+            retries: r.counter("router.retries").get(),
+            hedges: r.counter("router.hedges").get(),
+            hedge_wins: r.counter("router.hedge_wins").get(),
+            degraded_answers: r.counter("router.degraded_answers").get(),
+            metrics_json: drained.metrics_json,
         })
     }
 }
@@ -719,139 +722,15 @@ fn probe_loop(state: &RouterState, shutdown: &ShutdownToken) {
         }
         since = Duration::ZERO;
         let timeout = state.config.probe_interval.min(Duration::from_millis(250));
-        for shard in &state.backends {
-            for backend in shard {
-                match backend_fetch(&backend.sock, &backend.addr, "/ready", "", 0, timeout) {
-                    Ok(resp) if resp.status == 200 => backend.on_success(),
-                    _ => {
-                        backend.probe_failures_total.fetch_add(1, Ordering::Relaxed);
-                        backend.on_failure(state.config.breaker_failures);
-                    }
+        for backend in state.backends.iter().flatten() {
+            match backend_fetch(&backend.sock, &backend.addr, "/ready", "", 0, timeout) {
+                Ok(resp) if resp.status == 200 => backend.on_success(),
+                _ => {
+                    backend.probe_failures_total.fetch_add(1, Ordering::Relaxed);
+                    backend.on_failure(state.config.breaker_failures);
                 }
             }
         }
-    }
-}
-
-/// One worker: pop client connections, answer them, contain panics.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Conn>>, state: &RouterState) {
-    loop {
-        let conn = rx.lock().unwrap().recv();
-        let Ok(mut conn) = conn else {
-            break;
-        };
-        let depth = state.queue_depth.fetch_sub(1, Ordering::AcqRel) - 1;
-        state.recorder.gauge("http.queue_depth").set(depth as u64);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_client(&mut conn.stream, conn.accepted_at, state)
-        }));
-        if outcome.is_err() {
-            state.recorder.add_named("http.worker_panics", 1);
-            state.recorder.add_named(status_key(500), 1);
-            let _ = respond_full(
-                &mut conn.stream,
-                500,
-                "{\"error\":\"internal error answering this request\"}",
-                0,
-                1,
-                CONTENT_TYPE_JSON,
-                &[],
-            );
-        }
-    }
-}
-
-/// Read one client request head, route it, answer it.
-fn handle_client(stream: &mut TcpStream, accepted_at: Instant, state: &RouterState) {
-    let config = &state.config;
-    if accepted_at.elapsed() >= config.request_deadline {
-        state.shed(
-            stream,
-            503,
-            "request exceeded its deadline budget while queued",
-            "http.shed.deadline",
-        );
-        return;
-    }
-    let mut buf = vec![0u8; config.max_header_bytes.max(64)];
-    let mut used = 0usize;
-    let head_len = loop {
-        let Some(remaining) = config.request_deadline.checked_sub(accepted_at.elapsed()) else {
-            state.shed(
-                stream,
-                408,
-                "request header did not complete within the deadline budget",
-                "http.shed.slow_client",
-            );
-            return;
-        };
-        if used == buf.len() {
-            state.recorder.add_named("http.bad_request.requests", 1);
-            state.recorder.add_named(status_key(431), 1);
-            let _ = respond_full(
-                stream,
-                431,
-                "{\"error\":\"request header too large\"}",
-                0,
-                1,
-                CONTENT_TYPE_JSON,
-                &[],
-            );
-            return;
-        }
-        let per_read = remaining.min(config.deadline).max(Duration::from_millis(1));
-        let _ = stream.set_read_timeout(Some(per_read));
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => return,
-            Ok(k) => {
-                used += k;
-                if let Some(end) = find_head_end(&buf[..used]) {
-                    break end;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
-                state.recorder.add_named("http.read_errors", 1);
-                return;
-            }
-        }
-    };
-
-    let head = String::from_utf8_lossy(&buf[..head_len]);
-    let first = head.lines().next().unwrap_or("");
-    let (route, limit) = parse_route(first);
-    let endpoint = route.endpoint();
-    let trace = match header_value(&head, "x-gsb-trace") {
-        Some(v) if valid_trace_id(v) => v.to_string(),
-        _ => state.next_trace_id(),
-    };
-    let mut span = SpanRecorder::started_at(trace, accepted_at);
-    span.stage("parse");
-
-    let started = Instant::now();
-    let (status, body, degraded, content_type) =
-        dispatch(state, &route, limit, accepted_at, span.trace_id());
-    span.stage("gather");
-    state.recorder.add_named(requests_key(endpoint), 1);
-    state.recorder.add_named(status_key(status), 1);
-    state
-        .recorder
-        .histogram(latency_key(endpoint))
-        .observe(started.elapsed().as_nanos() as u64);
-    if degraded > 0 {
-        state.recorder.add_named("router.degraded_answers", 1);
-    }
-    let extra = [
-        ("X-Gsb-Trace", span.trace_id().to_string()),
-        ("X-Gsb-Trace-Ns", span.total_ns().to_string()),
-    ];
-    if respond_full(stream, status, &body, degraded, 1, content_type, &extra).is_err() {
-        state.recorder.add_named("http.write_errors", 1);
     }
 }
 
@@ -1190,51 +1069,20 @@ fn missing_field(missing: &[usize]) -> String {
     }
 }
 
-fn degraded_suffix(degraded: u64) -> String {
-    if degraded == 0 {
-        String::new()
-    } else {
-        format!(",\"degraded\":{degraded}")
-    }
-}
-
-/// Route one parsed request. Returns status, body, the degraded count
+/// Answer one query from the tier. Returns status, body, the degraded count
 /// for the `X-Gsb-Degraded` header (missing shards + ids skipped by
 /// backend quarantine), and the content type.
 fn dispatch(
     state: &RouterState,
-    route: &Route,
+    query: &Query,
     limit: usize,
     accepted: Instant,
     trace: &str,
-) -> (u16, String, u64, &'static str) {
+) -> Answer {
     let json = CONTENT_TYPE_JSON;
     let all_shards: Vec<usize> = (0..state.topology.shards.len()).collect();
-    match route {
-        Route::Health => (
-            200,
-            "{\"status\":\"ok\",\"role\":\"router\"}".into(),
-            0,
-            json,
-        ),
-        Route::Ready => {
-            let draining = state.draining.load(Ordering::Acquire);
-            let live = live_shards(state);
-            let ready = !draining && live == state.topology.shards.len();
-            let status = if ready { 200 } else { 503 };
-            (
-                status,
-                format!(
-                    "{{\"ready\":{ready},\"draining\":{draining},\"shards\":{},\"live_shards\":{live}}}",
-                    state.topology.shards.len()
-                ),
-                0,
-                json,
-            )
-        }
-        Route::Metrics => (200, render_router_promtext(state), 0, CONTENT_TYPE_PROM),
-        Route::MetricsJson => (200, state.live_metrics_json(), 0, json),
-        Route::Stats => {
+    match query {
+        Query::Stats => {
             let answers = scatter(state, &all_shards, &|_| "/stats".into(), accepted, trace);
             let mut missing = Vec::new();
             let (mut n, mut cliques, mut max_clique) = (0u64, 0u64, 0u64);
@@ -1267,7 +1115,7 @@ fn dispatch(
                 json,
             )
         }
-        Route::Get(gid) => {
+        Query::Get(gid) => {
             let Some(shard) = state.topology.owner_of(*gid) else {
                 return (
                     404,
@@ -1305,7 +1153,7 @@ fn dispatch(
                 None => shard_down(shard),
             }
         }
-        Route::Max => {
+        Query::Max => {
             // Enumeration order is size order: the global maximum
             // clique lives in the last shard.
             let shard = state.topology.shards.len() - 1;
@@ -1314,7 +1162,7 @@ fn dispatch(
                 None => shard_down(shard),
             }
         }
-        Route::Containing(v) => scatter_list(
+        Query::Containing(v) => scatter_list(
             state,
             &all_shards,
             &|_| format!("/containing/{v}?limit={limit}"),
@@ -1324,14 +1172,14 @@ fn dispatch(
                     g.count,
                     render_ids(&g.ids, limit),
                     g.cliques[..g.cliques.len().min(limit)].join(","),
-                    degraded_suffix(g.degraded),
+                    degraded_field(g.degraded),
                     missing_field(missing),
                 )
             },
             accepted,
             trace,
         ),
-        Route::Overlap(v, w) => scatter_list(
+        Query::Overlap(v, w) => scatter_list(
             state,
             &all_shards,
             &|_| format!("/overlap/{v}/{w}?limit={limit}"),
@@ -1341,14 +1189,14 @@ fn dispatch(
                     g.count,
                     render_ids(&g.ids, limit),
                     g.cliques[..g.cliques.len().min(limit)].join(","),
-                    degraded_suffix(g.degraded),
+                    degraded_field(g.degraded),
                     missing_field(missing),
                 )
             },
             accepted,
             trace,
         ),
-        Route::Size(lo, hi) => {
+        Query::Size(lo, hi) => {
             let shards = state.topology.shards_for_sizes(*lo, *hi);
             if shards.is_empty() {
                 return (
@@ -1368,7 +1216,7 @@ fn dispatch(
                         g.count,
                         g.first_id.unwrap_or(0),
                         g.cliques[..g.cliques.len().min(limit)].join(","),
-                        degraded_suffix(g.degraded),
+                        degraded_field(g.degraded),
                         missing_field(missing),
                     )
                 },
@@ -1376,9 +1224,6 @@ fn dispatch(
                 trace,
             )
         }
-        Route::NotFound => (404, "{\"error\":\"no such endpoint\"}".into(), 0, json),
-        Route::MethodNotAllowed => (405, "{\"error\":\"only GET is supported\"}".into(), 0, json),
-        Route::Bad(message) => (400, format!("{{\"error\":\"{message}\"}}"), 0, json),
     }
 }
 
@@ -1392,7 +1237,7 @@ fn scatter_list(
     render: &dyn Fn(&Gathered, &[usize]) -> String,
     accepted: Instant,
     trace: &str,
-) -> (u16, String, u64, &'static str) {
+) -> Answer {
     let answers = scatter(state, shards, path, accepted, trace);
     let mut g = Gathered::default();
     let mut missing = Vec::new();
@@ -1434,7 +1279,7 @@ fn live_shards(state: &RouterState) -> usize {
 
 /// A single-shard route found its shard down: typed 503, never a
 /// blind 500. `missing_shards` names the culprit.
-fn shard_down(shard: usize) -> (u16, String, u64, &'static str) {
+fn shard_down(shard: usize) -> Answer {
     (
         503,
         format!("{{\"error\":\"no live replica for shard {shard}\",\"missing_shards\":[{shard}]}}"),
@@ -1444,7 +1289,7 @@ fn shard_down(shard: usize) -> (u16, String, u64, &'static str) {
 }
 
 /// Every queried shard is down: typed 503 with the full missing list.
-fn all_down(missing: &[usize]) -> (u16, String, u64, &'static str) {
+fn all_down(missing: &[usize]) -> Answer {
     (
         503,
         format!(
@@ -1453,194 +1298,6 @@ fn all_down(missing: &[usize]) -> (u16, String, u64, &'static str) {
         ),
         missing.len() as u64,
         CONTENT_TYPE_JSON,
-    )
-}
-
-/// Prometheus text for the router: per-endpoint traffic plus the
-/// robustness internals — per-backend breaker state, failure and probe
-/// counters, hedge/retry/degradation totals.
-fn render_router_promtext(state: &RouterState) -> String {
-    let r = &state.recorder;
-    let mut w = PromWriter::new();
-
-    let req = w.family(
-        "gsb_router_requests_total",
-        PromKind::Counter,
-        "Routed client requests, by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        w.sample(&req, &[("endpoint", ep)], r.counter(requests_key(ep)).get());
-    }
-    let dur = w.family(
-        "gsb_router_request_duration_ns",
-        PromKind::Histogram,
-        "Client request latency in nanoseconds (log2 buckets), by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        let h = r.histogram(latency_key(ep));
-        w.histogram(
-            &dur,
-            &[("endpoint", ep)],
-            &h.cumulative_buckets(),
-            h.sum(),
-            h.count(),
-        );
-    }
-    let status = w.family(
-        "gsb_router_responses_total",
-        PromKind::Counter,
-        "Responses written, by HTTP status.",
-    );
-    for (label, code) in STATUS_LABELS {
-        w.sample(
-            &status,
-            &[("status", label)],
-            r.counter(status_key(code)).get(),
-        );
-    }
-
-    let bstate = w.family(
-        "gsb_router_backend_state",
-        PromKind::Gauge,
-        "Circuit breaker state per backend: 0 closed, 1 half-open, 2 open.",
-    );
-    let bfail = w.family(
-        "gsb_router_backend_failures_total",
-        PromKind::Counter,
-        "Failed tries per backend (passive accounting + probes).",
-    );
-    let bok = w.family(
-        "gsb_router_backend_successes_total",
-        PromKind::Counter,
-        "Successful answers per backend.",
-    );
-    let bprobe = w.family(
-        "gsb_router_probe_failures_total",
-        PromKind::Counter,
-        "Failed /ready probes per backend.",
-    );
-    for replicas in &state.backends {
-        for b in replicas {
-            let shard = b.shard.to_string();
-            let labels = [("backend", b.addr.as_str()), ("shard", shard.as_str())];
-            w.sample(&bstate, &labels, u64::from(b.state_gauge()));
-            w.sample(&bfail, &labels, b.failures_total.load(Ordering::Relaxed));
-            w.sample(&bok, &labels, b.successes_total.load(Ordering::Relaxed));
-            w.sample(
-                &bprobe,
-                &labels,
-                b.probe_failures_total.load(Ordering::Relaxed),
-            );
-        }
-    }
-    let unavailable = w.family(
-        "gsb_router_shard_unavailable_total",
-        PromKind::Counter,
-        "Requests that found a shard with no live replica.",
-    );
-    for (k, c) in state.shard_unavailable.iter().enumerate() {
-        let shard = k.to_string();
-        w.sample(
-            &unavailable,
-            &[("shard", shard.as_str())],
-            c.load(Ordering::Relaxed),
-        );
-    }
-
-    for (name, key, help) in [
-        (
-            "gsb_router_retries_total",
-            "router.retries",
-            "Backend tries that failed and were retried on another replica.",
-        ),
-        (
-            "gsb_router_hedges_total",
-            "router.hedges",
-            "Hedged second tries launched past the hedge latency percentile.",
-        ),
-        (
-            "gsb_router_hedge_wins_total",
-            "router.hedge_wins",
-            "Hedged tries that answered first.",
-        ),
-        (
-            "gsb_router_degraded_answers_total",
-            "router.degraded_answers",
-            "Answers missing at least one shard or passing through backend degradation.",
-        ),
-        (
-            "gsb_router_connections_total",
-            "http.connections",
-            "Client TCP connections accepted (including shed ones).",
-        ),
-        (
-            "gsb_router_worker_panics_total",
-            "http.worker_panics",
-            "Request handlers that panicked (contained, answered 500).",
-        ),
-        (
-            "gsb_router_shed_requests_total",
-            "http.shed_total",
-            "Client connections shed by admission control.",
-        ),
-    ] {
-        let fam = w.family(name, PromKind::Counter, help);
-        w.sample(&fam, &[], r.counter(key).get());
-    }
-    let depth = w.family(
-        "gsb_router_queue_depth",
-        PromKind::Gauge,
-        "Client connections currently waiting in the admission queue.",
-    );
-    w.sample(&depth, &[], r.gauge("http.queue_depth").get());
-    let uptime = w.family(
-        "gsb_router_uptime_seconds",
-        PromKind::Gauge,
-        "Seconds since the router started.",
-    );
-    w.sample_f64(&uptime, &[], state.started.elapsed().as_secs_f64());
-    w.finish()
-}
-
-/// The `--metrics-out`-shaped JSON snapshot (also `GET /metrics-json`).
-fn render_router_metrics_json(state: &RouterState) -> String {
-    let r = &state.recorder;
-    let mut requests = 0u64;
-    for ep in ENDPOINTS {
-        requests += r.counter(requests_key(ep)).get();
-    }
-    let mut backends = String::new();
-    for replicas in &state.backends {
-        for b in replicas {
-            if !backends.is_empty() {
-                backends.push(',');
-            }
-            backends.push_str(&format!(
-                "\n    {{\"backend\":\"{}\",\"shard\":{},\"state\":{},\"successes\":{},\"failures\":{},\"probe_failures\":{}}}",
-                b.addr,
-                b.shard,
-                b.state_gauge(),
-                b.successes_total.load(Ordering::Relaxed),
-                b.failures_total.load(Ordering::Relaxed),
-                b.probe_failures_total.load(Ordering::Relaxed),
-            ));
-        }
-    }
-    let unavailable: Vec<String> = state
-        .shard_unavailable
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed).to_string())
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"gsb_router\",\n  \"connections\": {},\n  \"requests\": {requests},\n  \"shed_total\": {},\n  \"retries\": {},\n  \"hedges\": {},\n  \"hedge_wins\": {},\n  \"degraded_answers\": {},\n  \"worker_panics\": {},\n  \"shard_unavailable\": [{}],\n  \"backends\": [{backends}\n  ]\n}}\n",
-        r.counter("http.connections").get(),
-        r.counter("http.shed_total").get(),
-        r.counter("router.retries").get(),
-        r.counter("router.hedges").get(),
-        r.counter("router.hedge_wins").get(),
-        r.counter("router.degraded_answers").get(),
-        r.counter("http.worker_panics").get(),
-        unavailable.join(","),
     )
 }
 

@@ -1,30 +1,22 @@
-//! `gsb serve` — a std-only threaded TCP/HTTP query server with
-//! overload protection.
+//! `gsb serve` — the query server: one [`CliqueIndex`] answered over
+//! HTTP through the shared front end (the crate-private `http` module).
 //!
 //! The first long-lived process in the repo: where a batch run ends at
-//! a level barrier, the server ends only when asked. It reuses the
-//! robustness substrate built for batch runs — [`ShutdownToken`] for
-//! graceful SIGINT/SIGTERM drain, the supervision deadline as a
-//! per-connection socket timeout, and [`gsb_telemetry`] histograms for
-//! per-endpoint latency, exported as JSON via `--metrics-out` — and
-//! adds the serving-specific defenses a genome-scale index needs to
-//! stay up under pressure:
+//! a level barrier, the server ends only when asked. The front end
+//! brings the overload defenses every `gsb` front shares — bounded
+//! admission queue with typed sheds, per-request deadline budget from
+//! accept, slow-client cut-off, worker panic containment, trace ids,
+//! live `/metrics` + `/metrics-json`, graceful SIGINT/SIGTERM drain.
+//! This handler adds what only an index server needs:
 //!
-//! * **Admission control.** Accepted connections enter a *bounded*
-//!   queue (`queue_limit`); when it is full the accept loop sheds the
-//!   connection inline with a typed `503` + `Retry-After` instead of
-//!   letting latency grow without bound. The queue depth is exported
-//!   as the `http.queue_depth` gauge, sheds as `http.shed_total`.
-//! * **Per-request deadline budget.** Distinct from the per-connection
-//!   socket timeout: the budget starts at *accept*. A request that
-//!   already spent its budget queueing is shed (`503`), and a client
-//!   that dribbles header bytes (slow-loris) is cut off with `408`
-//!   once the budget runs out — progress is bounded even though each
-//!   individual read is making "progress".
 //! * **Per-endpoint rate limiting.** An optional token bucket per
 //!   endpoint (`rate_limit` requests/second, `rate_burst` burst)
-//!   answers `429` + `Retry-After` when drained. `/health` is exempt:
-//!   liveness probes must keep passing during overload.
+//!   answers `429` + `Retry-After` when drained. The admission-exempt
+//!   endpoints (`/health`, `/ready`, `/metrics`, `/metrics-json`) are
+//!   exempt here too: liveness probes must keep passing during overload.
+//! * **Caller deadlines.** A router propagates what is left of its own
+//!   budget as `X-Gsb-Deadline-Ms`; a request that cannot start in time
+//!   is shed instead of computing an answer nobody is waiting for.
 //! * **Degraded-exact serving.** A corrupt store block is quarantined
 //!   by the reader; list endpoints then answer from the healthy blocks
 //!   only, marking the response with an `X-Gsb-Degraded: <skipped>`
@@ -35,30 +27,13 @@
 //!   validates the new index off the serving path, then swaps the
 //!   shared `Arc<CliqueIndex>`. In-flight requests keep their snapshot
 //!   — no request is ever dropped or mixed across generations.
-//! * **Worker panic containment.** Each request runs under
-//!   `catch_unwind`; a panic answers `500`, bumps
-//!   `http.worker_panics`, and the worker lives on.
-//! * **Live observability.** `GET /metrics` exposes every recorder
-//!   series as Prometheus text (`gsb_telemetry::promtext`) and
-//!   `GET /metrics-json` serves the same snapshot `--metrics-out`
-//!   writes at shutdown — both exempt from the admission queue and the
-//!   rate limiter, like `/health`: an overloaded server must stay
-//!   scrapeable. Every request gets a trace id (incoming `X-Gsb-Trace`
-//!   honored, else generated from the seeded `TraceIdGen`) and a
-//!   [`gsb_telemetry::SpanRecorder`] timing
-//!   queue→parse→admission→postings→blocks→respond; the id and total
-//!   nanoseconds return in `X-Gsb-Trace` / `X-Gsb-Trace-Ns` response
-//!   headers. With `--access-log` set, each request appends one JSONL
+//! * **Request logs and index I/O.** Each request's span times
+//!   queue→parse→admission→postings→blocks→respond. With
+//!   `--access-log` set, each request appends one JSONL
 //!   [`gsb_telemetry::AccessRecord`] line (rotated atomically at
 //!   `--access-log-max-bytes`); `--slow-query-ms` tees outliers with
-//!   their full span breakdown into a slow-query log.
-//!
-//! HTTP/1.1, one request per connection (`Connection: close`): every
-//! response carries an exact `Content-Length` and the socket closes
-//! after it, so a drained shutdown can never truncate a response
-//! mid-body. On shutdown the server answers everything it accepted,
-//! then sweeps the kernel backlog, shedding each waiting connection
-//! with a `503` rather than a silent RST.
+//!   their full span breakdown into a slow-query log. `/metrics` adds
+//!   the reader's block-cache and decode counters and the index gauges.
 //!
 //! Endpoints (all GET, JSON responses):
 //!
@@ -78,19 +53,20 @@
 //! Clique-list endpoints accept `?limit=K` (default 1000) and report
 //! the full `count` alongside the possibly-truncated `cliques` array.
 
+use crate::http::{
+    self, degraded_field, header_value, AddNamed, Answer, Endpoint, Family, Handler, Limits,
+    Profile, Query, Refusal, Series, CONTENT_TYPE_JSON, ENDPOINTS,
+};
 use crate::reader::CliqueIndex;
-use gsb_core::supervise::is_transient;
-use gsb_core::{Clique, RetryPolicy, ShutdownToken};
+use gsb_core::{Clique, ShutdownToken};
 use gsb_telemetry::access::{AccessRecord, RotatingWriter};
-use gsb_telemetry::promtext::{PromKind, PromWriter};
-use gsb_telemetry::trace::{valid_trace_id, SpanRecorder, TraceIdGen};
-use gsb_telemetry::{AtomicRecorder, Histogram};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use gsb_telemetry::promtext::PromKind::{self, Counter};
+use gsb_telemetry::promtext::PromWriter;
+use gsb_telemetry::trace::SpanRecorder;
+use gsb_telemetry::AtomicRecorder;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Server tuning knobs.
@@ -182,111 +158,25 @@ pub struct ServeReport {
     pub metrics_json: String,
 }
 
-/// Endpoint names; each gets a request counter, a latency histogram,
-/// and a rate-limit saturation counter.
-pub(crate) const ENDPOINTS: [&str; 12] = [
-    "health",
-    "ready",
-    "stats",
-    "get",
-    "containing",
-    "size",
-    "max",
-    "overlap",
-    "metrics",
-    "metrics_json",
-    "not_found",
-    "bad_request",
+/// The server's own recorder families; the front end adds the shared
+/// ones (requests, latency, sheds, statuses, queue, connection errors).
+#[rustfmt::skip]
+const SERVER_FAMILIES: &[Family] = &[
+    Family::new("rate_limited_total", Counter, Series::Endpoint(|e| e.rate_limited),
+        Some("rate_limited"), "Requests answered 429 by the per-endpoint token bucket."),
+    Family::new("rate_limited_requests_total", Counter, Series::Key("http.rate_limited_total"),
+        Some("rate_limited"), "Requests answered 429, all endpoints."),
+    Family::new("degraded_total", Counter, Series::Key("http.degraded_total"),
+        Some("degraded"), "Responses served degraded-exact (quarantined ids skipped)."),
+    Family::new("slow_queries_total", Counter, Series::Key("http.slow_queries"),
+        None, "Requests slower than the slow-query threshold."),
+    Family::new("reloads_total", Counter, Series::Key("http.reloads"),
+        Some("reloads"), "Successful index hot-reloads."),
+    Family::new("reload_errors_total", Counter, Series::Key("http.reload_errors"),
+        Some("reload_errors"), "Hot-reload attempts that failed validation."),
+    Family::new("access_log_errors_total", Counter, Series::Key("http.access_log_errors"),
+        None, "Access-log lines dropped on write failure."),
 ];
-
-pub(crate) fn latency_key(endpoint: &str) -> &'static str {
-    match endpoint {
-        "health" => "http.health.ns",
-        "ready" => "http.ready.ns",
-        "stats" => "http.stats.ns",
-        "get" => "http.get.ns",
-        "containing" => "http.containing.ns",
-        "size" => "http.size.ns",
-        "max" => "http.max.ns",
-        "overlap" => "http.overlap.ns",
-        "metrics" => "http.metrics.ns",
-        "metrics_json" => "http.metrics_json.ns",
-        "not_found" => "http.not_found.ns",
-        _ => "http.bad_request.ns",
-    }
-}
-
-pub(crate) fn requests_key(endpoint: &str) -> &'static str {
-    match endpoint {
-        "health" => "http.health.requests",
-        "ready" => "http.ready.requests",
-        "stats" => "http.stats.requests",
-        "get" => "http.get.requests",
-        "containing" => "http.containing.requests",
-        "size" => "http.size.requests",
-        "max" => "http.max.requests",
-        "overlap" => "http.overlap.requests",
-        "metrics" => "http.metrics.requests",
-        "metrics_json" => "http.metrics_json.requests",
-        "not_found" => "http.not_found.requests",
-        _ => "http.bad_request.requests",
-    }
-}
-
-fn rate_limited_key(endpoint: &str) -> &'static str {
-    match endpoint {
-        "health" => "http.health.rate_limited",
-        "ready" => "http.ready.rate_limited",
-        "stats" => "http.stats.rate_limited",
-        "get" => "http.get.rate_limited",
-        "containing" => "http.containing.rate_limited",
-        "size" => "http.size.rate_limited",
-        "max" => "http.max.rate_limited",
-        "overlap" => "http.overlap.rate_limited",
-        "metrics" => "http.metrics.rate_limited",
-        "metrics_json" => "http.metrics_json.rate_limited",
-        "not_found" => "http.not_found.rate_limited",
-        _ => "http.bad_request.rate_limited",
-    }
-}
-
-/// Per-status response counters, for the `gsb_http_responses_total`
-/// Prometheus family.
-pub(crate) fn status_key(status: u16) -> &'static str {
-    match status {
-        200 => "http.status.200",
-        400 => "http.status.400",
-        404 => "http.status.404",
-        405 => "http.status.405",
-        408 => "http.status.408",
-        429 => "http.status.429",
-        431 => "http.status.431",
-        500 => "http.status.500",
-        503 => "http.status.503",
-        _ => "http.status.other",
-    }
-}
-
-/// Statuses with a dedicated counter, in exposition order.
-pub(crate) const STATUS_LABELS: [(&str, u16); 9] = [
-    ("200", 200),
-    ("400", 400),
-    ("404", 404),
-    ("405", 405),
-    ("408", 408),
-    ("429", 429),
-    ("431", 431),
-    ("500", 500),
-    ("503", 503),
-];
-
-/// Endpoints exempt from the token buckets and from queue-full
-/// shedding: liveness, readiness, and scrapes must keep answering
-/// during overload — a router probing `/ready` must learn "still
-/// serving, just busy" rather than a shed 503.
-pub(crate) fn admission_exempt(endpoint: &str) -> bool {
-    matches!(endpoint, "health" | "ready" | "metrics" | "metrics_json")
-}
 
 /// One token bucket per endpoint (classic leaky refill: `rate`
 /// tokens/second up to `burst`).
@@ -324,7 +214,7 @@ impl TokenBuckets {
     fn try_take(&self, endpoint: &str) -> bool {
         let i = ENDPOINTS
             .iter()
-            .position(|e| *e == endpoint)
+            .position(|e| e.name == endpoint)
             .unwrap_or(ENDPOINTS.len() - 1);
         let mut b = self.buckets[i].lock().unwrap();
         let now = Instant::now();
@@ -340,23 +230,16 @@ impl TokenBuckets {
     }
 }
 
-/// Everything the workers, accept loop, and reload watcher share.
+/// The server handler: the live index plus the rate limiter, the
+/// request logs, and the recorder the front end shares.
 struct ServeState {
     /// The live index. Workers clone the `Arc` per request, so a
     /// hot-reload swap never invalidates an in-flight answer.
     index: Mutex<Arc<CliqueIndex>>,
     recorder: AtomicRecorder,
-    config: ServeConfig,
-    queue_depth: AtomicUsize,
-    /// Set once shutdown is requested: `/ready` flips to 503 so a
-    /// router ejects this backend *before* the drain sweep sheds its
-    /// queries, while `/health` keeps answering 200 (still alive).
-    draining: AtomicBool,
+    /// Requests at least this slow are tee'd into the slow-query log.
+    slow_query_ms: Option<u64>,
     buckets: Option<TokenBuckets>,
-    /// When the server started (uptime for `/metrics`).
-    started: Instant,
-    /// Seeded trace-id generator for requests without `X-Gsb-Trace`.
-    trace_ids: Mutex<TraceIdGen>,
     /// The JSONL access log, when enabled.
     access: Option<Mutex<RotatingWriter>>,
     /// The slow-query log, when enabled.
@@ -368,42 +251,78 @@ impl ServeState {
     fn index(&self) -> Arc<CliqueIndex> {
         self.index.lock().unwrap().clone()
     }
+}
 
-    /// A fresh trace id from the seeded generator.
-    fn next_trace_id(&self) -> String {
-        self.trace_ids.lock().unwrap().next_id()
+impl Handler for ServeState {
+    const PROFILE: Profile = Profile {
+        role: "server",
+        bench: "gsb_serve",
+        prefix: "gsb_http",
+        health: "{\"status\":\"ok\"}",
+        degraded_key: "http.degraded_total",
+        families: SERVER_FAMILIES,
+    };
+
+    fn recorder(&self) -> &AtomicRecorder {
+        &self.recorder
     }
 
-    /// The live `--metrics-out`-shaped JSON snapshot (same renderer the
-    /// shutdown write uses), served by `GET /metrics-json`.
-    fn live_metrics_json(&self) -> String {
-        let connections = self.recorder.counter("http.connections").get();
-        let requests: u64 = ENDPOINTS
-            .iter()
-            .map(|ep| self.recorder.counter(requests_key(ep)).get())
-            .sum();
-        render_metrics(
-            &self.recorder,
-            connections,
-            requests,
-            self.started.elapsed(),
-        )
+    /// Ready means the index is loaded *and* the server is not draining.
+    fn ready(&self, draining: bool) -> (u16, String) {
+        if draining {
+            return (503, "{\"ready\":false,\"draining\":true}".into());
+        }
+        let index = self.index();
+        let body = format!(
+            "{{\"ready\":true,\"draining\":false,\"generation\":{},\"cliques\":{}}}",
+            index.generation(),
+            index.len()
+        );
+        (200, body)
+    }
+
+    /// The caller's deadline (`X-Gsb-Deadline-Ms`, measured from our
+    /// accept), then the endpoint's token bucket: cheap typed refusals
+    /// under saturation, no index work spent on them.
+    fn admit(&self, head: &str, endpoint: &Endpoint, accepted_at: Instant) -> Result<(), Refusal> {
+        let caller_ms = header_value(head, "x-gsb-deadline-ms").and_then(|v| v.parse().ok());
+        if caller_ms.is_some_and(|ms| accepted_at.elapsed() >= Duration::from_millis(ms)) {
+            return Err(Refusal::Shed {
+                status: 503,
+                message: "caller deadline already expired",
+                key: "http.shed.deadline",
+                cause: "caller_deadline",
+            });
+        }
+        let limited = self.buckets.as_ref().filter(|_| !endpoint.exempt);
+        if limited.is_some_and(|b| !b.try_take(endpoint.name)) {
+            self.recorder.add_named(endpoint.rate_limited, 1);
+            self.recorder.add_named("http.rate_limited_total", 1);
+            return Err(Refusal::Answer {
+                status: 429,
+                body: "{\"error\":\"rate limit exceeded for this endpoint\"}",
+                cause: "rate_limited",
+            });
+        }
+        Ok(())
+    }
+
+    fn answer(
+        &self,
+        query: &Query,
+        limit: usize,
+        _accepted_at: Instant,
+        span: &mut SpanRecorder,
+    ) -> Answer {
+        execute(&self.index(), query, limit, span)
     }
 
     /// Append one access-log line (and tee it into the slow-query log
-    /// when the request crossed the `slow_query_ms` threshold). Called
-    /// on the worker path only — accept-loop sheds have no span.
-    fn log_access(
-        &self,
-        span: &SpanRecorder,
-        endpoint: &str,
-        status: u16,
-        cause: &str,
-        bytes: u64,
-    ) {
+    /// when the request crossed the `slow_query_ms` threshold). Sheds
+    /// from the accept loop have no span and are not logged.
+    fn log(&self, span: &SpanRecorder, endpoint: &str, status: u16, cause: &str, bytes: u64) {
         let total_ns = span.total_ns();
         let slow = self
-            .config
             .slow_query_ms
             .is_some_and(|ms| total_ns >= ms.saturating_mul(1_000_000));
         if slow {
@@ -433,15 +352,9 @@ impl ServeState {
                 .collect(),
         };
         let line = record.to_json_line();
-        if write_access {
-            if let Some(w) = &self.access {
-                if w.lock().unwrap().append_line(&line).is_err() {
-                    self.recorder.add_named("http.access_log_errors", 1);
-                }
-            }
-        }
-        if write_slow {
-            if let Some(w) = &self.slow {
+        let logs = [(write_access, &self.access), (write_slow, &self.slow)];
+        for (write, log) in logs {
+            if let (true, Some(w)) = (write, log) {
                 if w.lock().unwrap().append_line(&line).is_err() {
                     self.recorder.add_named("http.access_log_errors", 1);
                 }
@@ -449,43 +362,84 @@ impl ServeState {
         }
     }
 
-    /// `Retry-After` seconds for a shed 503, scaled with how deep the
-    /// admission queue currently is: an empty queue suggests a blip
-    /// (come back in 1s), a full queue means real overload (back off up
-    /// to 8s). Bounded so a buggy depth can never tell clients to wait
-    /// forever, and load-dependent so a fleet of backoff clients does
-    /// not re-arrive on one fixed beat.
-    fn retry_after_secs(&self) -> u32 {
-        let limit = self.config.queue_limit.max(1);
-        let depth = self.queue_depth.load(Ordering::Acquire).min(limit);
-        (1 + (7 * depth) / limit) as u32
-    }
-
-    /// Shed a connection with a typed, complete response. The pending
-    /// request bytes are drained first (one bounded read): closing with
-    /// unread data in the receive buffer makes the kernel reset the
-    /// connection, and the client would see ECONNRESET instead of the
-    /// typed 503/429 the whole design promises. The read is bounded to
-    /// 50ms so a silent client cannot stall the shedding path.
-    fn shed(&self, stream: &mut TcpStream, status: u16, message: &str, key: &'static str) {
-        self.recorder.add_named(key, 1);
-        self.recorder.add_named("http.shed_total", 1);
-        self.recorder.add_named(status_key(status), 1);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut scratch = [0u8; 1024];
-        let _ = stream.read(&mut scratch);
-        let body = format!("{{\"error\":\"{message}\",\"shed\":true}}");
-        let retry = self.retry_after_secs();
-        if respond_retry(stream, status, &body, retry).is_err() {
-            self.recorder.add_named("http.write_errors", 1);
+    /// Reader I/O (block-cache effectiveness and decode cost) and the
+    /// live index's gauges. The I/O counters reset on hot-reload (fresh
+    /// reader), flagged by the generation.
+    fn promtext(&self, w: &mut PromWriter) {
+        let index = self.index();
+        let io = index.io_stats();
+        let counters = [
+            (
+                "gsb_index_cache_hits_total",
+                io.cache_hits,
+                "Block lookups answered from the decoded-block cache.",
+            ),
+            (
+                "gsb_index_cache_misses_total",
+                io.cache_misses,
+                "Block lookups that had to read and decode from disk.",
+            ),
+            (
+                "gsb_index_cache_evictions_total",
+                io.cache_evictions,
+                "Cache insertions that displaced an older block.",
+            ),
+            (
+                "gsb_index_blocks_decoded_total",
+                io.blocks_decoded,
+                "Blocks read, CRC-verified, and decoded.",
+            ),
+            (
+                "gsb_index_decode_ns_total",
+                io.decode_ns,
+                "Nanoseconds spent in block read+CRC+decode.",
+            ),
+            (
+                "gsb_index_postings_reads_total",
+                io.postings_reads,
+                "Postings-list reads served.",
+            ),
+        ];
+        let gauges = [
+            (
+                "gsb_index_generation",
+                index.generation(),
+                "Rebuild generation of the live index.",
+            ),
+            (
+                "gsb_index_quarantined_blocks",
+                index.quarantined_blocks().len() as u64,
+                "Store blocks quarantined as corrupt since this reader opened.",
+            ),
+            (
+                "gsb_index_cliques",
+                index.len(),
+                "Cliques in the live index.",
+            ),
+            (
+                "gsb_index_live_cliques",
+                index.live_len(),
+                "Cliques surviving the tombstone filter (equals gsb_index_cliques when no delta chain).",
+            ),
+            (
+                "gsb_index_tombstones",
+                index.len() - index.live_len(),
+                "Cliques killed by the delta chain since the last compaction.",
+            ),
+            (
+                "gsb_index_delta_generations",
+                index.delta_generations(),
+                "Delta generations stacked on the base index (0 after compaction).",
+            ),
+        ];
+        let kinds = [(PromKind::Counter, &counters), (PromKind::Gauge, &gauges)];
+        for (kind, rows) in kinds {
+            for &(name, value, help) in rows {
+                let fam = w.family(name, kind, help);
+                w.sample(&fam, &[], value);
+            }
         }
     }
-}
-
-/// A connection waiting in the admission queue.
-struct Conn {
-    stream: TcpStream,
-    accepted_at: Instant,
 }
 
 /// A bound, not-yet-running query server.
@@ -512,202 +466,54 @@ impl Server {
 
     /// Serve until `shutdown` is requested, then drain: stop accepting,
     /// answer every accepted connection, shed the kernel backlog with
-    /// `503`, join the workers, and export metrics.
+    /// `503`, join the workers and the reload watcher, and export
+    /// metrics.
     pub fn run(self, shutdown: &ShutdownToken) -> std::io::Result<ServeReport> {
-        let started = Instant::now();
-        self.listener.set_nonblocking(true)?;
-        let access = match &self.config.access_log {
-            Some(path) => Some(Mutex::new(RotatingWriter::open(
-                path,
-                self.config.access_log_max_bytes,
-            )?)),
-            None => None,
-        };
-        let slow = match &self.config.slow_query_log {
-            Some(path) => Some(Mutex::new(RotatingWriter::open(
-                path,
-                self.config.access_log_max_bytes,
-            )?)),
-            None => None,
+        let c = self.config;
+        let open_log = |path: &Option<PathBuf>| {
+            path.as_ref()
+                .map(|p| RotatingWriter::open(p, c.access_log_max_bytes).map(Mutex::new))
+                .transpose()
         };
         let state = Arc::new(ServeState {
-            index: Mutex::new(Arc::clone(&self.index)),
+            index: Mutex::new(self.index),
             recorder: AtomicRecorder::new(),
-            queue_depth: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            buckets: self
-                .config
+            buckets: c
                 .rate_limit
-                .map(|rate| TokenBuckets::new(rate, self.config.rate_burst)),
-            started,
-            trace_ids: Mutex::new(TraceIdGen::seeded(self.config.trace_seed)),
-            access,
-            slow,
-            config: self.config.clone(),
+                .map(|rate| TokenBuckets::new(rate, c.rate_burst)),
+            access: open_log(&c.access_log)?,
+            slow: open_log(&c.slow_query_log)?,
+            slow_query_ms: c.slow_query_ms,
         });
-        let (tx, rx) = mpsc::channel::<Conn>();
-        let rx = Arc::new(Mutex::new(rx));
-        let threads = self.config.threads.max(1);
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            workers.push(
+        let mut helpers = Vec::new();
+        if let (Some(poll), Some(dir)) = (c.reload_poll, c.index_dir.clone()) {
+            let (state, shutdown) = (Arc::clone(&state), shutdown.clone());
+            helpers.push(
                 std::thread::Builder::new()
-                    .name(format!("gsb-serve-{i}"))
-                    .spawn(move || worker_loop(&rx, &state))?,
+                    .name("gsb-serve-reload".into())
+                    .spawn(move || watch_index(&dir, poll, &state, &shutdown))?,
             );
         }
-        let watcher = match (&self.config.reload_poll, &self.config.index_dir) {
-            (Some(poll), Some(dir)) => {
-                let state = Arc::clone(&state);
-                let shutdown = shutdown.clone();
-                let (poll, dir) = (*poll, dir.clone());
-                Some(
-                    std::thread::Builder::new()
-                        .name("gsb-serve-reload".into())
-                        .spawn(move || watch_index(&dir, poll, &state, &shutdown))?,
-                )
-            }
-            _ => None,
+        let limits = Limits {
+            threads: c.threads,
+            deadline: c.deadline,
+            request_deadline: c.request_deadline,
+            queue_limit: c.queue_limit,
+            max_header_bytes: c.max_header_bytes,
+            trace_seed: c.trace_seed,
+            metrics_out: c.metrics_out,
         };
-
-        let mut connections = 0u64;
-        while !shutdown.is_requested() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    connections += 1;
-                    state.recorder.add_named("http.connections", 1);
-                    if gsb_core::failpoint::inject("serve.accept").is_err() {
-                        // Injected accept-path fault: account and drop,
-                        // exactly like a socket that died post-accept.
-                        state.recorder.add_named("http.accept_errors", 1);
-                        continue;
-                    }
-                    configure_stream(&stream, &self.config);
-                    let depth = state.queue_depth.load(Ordering::Acquire);
-                    if depth >= self.config.queue_limit {
-                        // Queue full: answer /health and the metrics
-                        // endpoints inline (an overloaded server must
-                        // stay probe-able and scrapeable), shed the
-                        // rest with a typed 503 under a short write
-                        // budget so one slow victim cannot stall the
-                        // accept loop.
-                        let mut stream = stream;
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                        overload_inline(&state, &mut stream);
-                        continue;
-                    }
-                    let depth = state.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
-                    state.recorder.gauge("http.queue_depth").set(depth as u64);
-                    if tx
-                        .send(Conn {
-                            stream,
-                            accepted_at: Instant::now(),
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if is_transient(&e) => continue,
-                Err(_) => {
-                    state.recorder.add_named("http.accept_errors", 1);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-
-        // From here on `/ready` answers 503: queued requests still
-        // drain to completion, but a router probing readiness ejects
-        // this backend instead of routing new work at a closing door.
-        state.draining.store(true, Ordering::Release);
-
-        // Drain sweep: everything already accepted drains through the
-        // workers; connections still waiting in the kernel backlog are
-        // shed with a typed 503 instead of a silent reset.
-        while let Ok((mut stream, _)) = self.listener.accept() {
-            connections += 1;
-            state.recorder.add_named("http.connections", 1);
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            state.shed(
-                &mut stream,
-                503,
-                "server draining for shutdown",
-                "http.shed.draining",
-            );
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        if let Some(w) = watcher {
-            let _ = w.join();
-        }
-
-        let mut requests = 0u64;
-        for ep in ENDPOINTS {
-            requests += state.recorder.counter(requests_key(ep)).get();
-        }
-        let metrics_json =
-            render_metrics(&state.recorder, connections, requests, started.elapsed());
-        if let Some(path) = &self.config.metrics_out {
-            let bytes = metrics_json.clone().into_bytes();
-            RetryPolicy::default().run_io(|| write_atomic_file(path, &bytes))?;
-        }
+        let drained = http::serve(self.listener, Arc::clone(&state), limits, helpers, shutdown)?;
+        let r = &state.recorder;
         Ok(ServeReport {
-            connections,
-            requests,
-            shed: state.recorder.counter("http.shed_total").get(),
-            rate_limited: state.recorder.counter("http.rate_limited_total").get(),
-            degraded: state.recorder.counter("http.degraded_total").get(),
-            reloads: state.recorder.counter("http.reloads").get(),
-            metrics_json,
+            connections: drained.connections,
+            requests: drained.requests,
+            shed: drained.shed,
+            rate_limited: r.counter("http.rate_limited_total").get(),
+            degraded: r.counter("http.degraded_total").get(),
+            reloads: r.counter("http.reloads").get(),
+            metrics_json: drained.metrics_json,
         })
-    }
-}
-
-/// Socket options for an accepted connection (sockets inherit the
-/// listener's non-blocking flag; workers want blocking bounded reads).
-fn configure_stream(stream: &TcpStream, config: &ServeConfig) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(config.deadline));
-    let _ = stream.set_write_timeout(Some(config.deadline));
-    let _ = stream.set_nodelay(true);
-}
-
-/// One worker: pop connections, answer them, contain panics.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Conn>>, state: &ServeState) {
-    loop {
-        // Holding the lock only across recv keeps the other workers
-        // free to pick up the next connection.
-        let conn = rx.lock().unwrap().recv();
-        let Ok(mut conn) = conn else {
-            // Channel closed after drain: every queued connection has
-            // been answered.
-            break;
-        };
-        let depth = state.queue_depth.fetch_sub(1, Ordering::AcqRel) - 1;
-        state.recorder.gauge("http.queue_depth").set(depth as u64);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(&mut conn.stream, conn.accepted_at, state)
-        }));
-        if outcome.is_err() {
-            // The worker survives a panicking request; the client gets
-            // a typed 500 instead of a dead socket.
-            state.recorder.add_named("http.worker_panics", 1);
-            state.recorder.add_named(status_key(500), 1);
-            let _ = respond(
-                &mut conn.stream,
-                500,
-                "{\"error\":\"internal error answering this request\"}",
-                0,
-            );
-        }
     }
 }
 
@@ -756,817 +562,17 @@ fn watch_index(
     }
 }
 
-/// Atomic sibling-tmp write for the metrics file (safe to retry whole).
-fn write_atomic_file(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// The per-endpoint latency/QPS export plus the overload counters: one
-/// JSON object per endpoint with count, mean, max, coarse log₂
-/// percentiles, and rate-limit saturation.
-fn render_metrics(
-    recorder: &AtomicRecorder,
-    connections: u64,
-    requests: u64,
-    elapsed: Duration,
-) -> String {
-    let wall_ms = elapsed.as_millis() as u64;
-    let qps = if elapsed.as_secs_f64() > 0.0 {
-        requests as f64 / elapsed.as_secs_f64()
-    } else {
-        0.0
-    };
-    let mut endpoints = String::new();
-    for ep in ENDPOINTS {
-        let count = recorder.counter(requests_key(ep)).get();
-        let limited = recorder.counter(rate_limited_key(ep)).get();
-        if count == 0 && limited == 0 {
-            continue;
-        }
-        let h: Histogram = recorder.histogram(latency_key(ep));
-        if !endpoints.is_empty() {
-            endpoints.push(',');
-        }
-        endpoints.push_str(&format!(
-            "\n    \"{ep}\": {{\"requests\":{count},\"rate_limited\":{limited},\"mean_ns\":{:.0},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            h.mean(),
-            h.quantile_upper_bound(0.50),
-            h.quantile_upper_bound(0.90),
-            h.quantile_upper_bound(0.99),
-            h.max(),
-        ));
-    }
-    let shed_total = recorder.counter("http.shed_total").get();
-    let shed_queue_full = recorder.counter("http.shed.queue_full").get();
-    let shed_deadline = recorder.counter("http.shed.deadline").get();
-    let shed_slow_client = recorder.counter("http.shed.slow_client").get();
-    let shed_draining = recorder.counter("http.shed.draining").get();
-    let rate_limited = recorder.counter("http.rate_limited_total").get();
-    let degraded = recorder.counter("http.degraded_total").get();
-    let reloads = recorder.counter("http.reloads").get();
-    let reload_errors = recorder.counter("http.reload_errors").get();
-    let worker_panics = recorder.counter("http.worker_panics").get();
-    let queue_depth = recorder.gauge("http.queue_depth").get();
-    format!(
-        "{{\n  \"bench\": \"gsb_serve\",\n  \"connections\": {connections},\n  \"requests\": {requests},\n  \"wall_ms\": {wall_ms},\n  \"qps\": {qps:.2},\n  \"shed_total\": {shed_total},\n  \"shed\": {{\"queue_full\":{shed_queue_full},\"deadline\":{shed_deadline},\"slow_client\":{shed_slow_client},\"draining\":{shed_draining}}},\n  \"rate_limited\": {rate_limited},\n  \"degraded\": {degraded},\n  \"reloads\": {reloads},\n  \"reload_errors\": {reload_errors},\n  \"worker_panics\": {worker_panics},\n  \"queue_depth\": {queue_depth},\n  \"endpoints\": {{{endpoints}\n  }}\n}}\n"
-    )
-}
-
-/// Render every recorder series as Prometheus text exposition (format
-/// 0.0.4). Reads only atomic snapshots — never blocks request threads.
-///
-/// Naming: structured families carry labels (`endpoint=`, `cause=`,
-/// `status=`); reader I/O counters come from [`CliqueIndex::io_stats`];
-/// any counter not claimed below is swept up as a sanitized
-/// `gsb_`-prefixed counter so new series are never silently dropped
-/// from scrapes.
-fn render_promtext(state: &ServeState, index: &CliqueIndex) -> String {
-    let r = &state.recorder;
-    let mut w = PromWriter::new();
-
-    let req = w.family(
-        "gsb_http_requests_total",
-        PromKind::Counter,
-        "Routed requests, by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        w.sample(&req, &[("endpoint", ep)], r.counter(requests_key(ep)).get());
-    }
-
-    let dur = w.family(
-        "gsb_http_request_duration_ns",
-        PromKind::Histogram,
-        "Request handling latency in nanoseconds (log2 buckets), by endpoint.",
-    );
-    for ep in ENDPOINTS {
-        let h = r.histogram(latency_key(ep));
-        w.histogram(
-            &dur,
-            &[("endpoint", ep)],
-            &h.cumulative_buckets(),
-            h.sum(),
-            h.count(),
-        );
-    }
-
-    let limited = w.family(
-        "gsb_http_rate_limited_total",
-        PromKind::Counter,
-        "Requests answered 429 by the per-endpoint token bucket.",
-    );
-    for ep in ENDPOINTS {
-        w.sample(
-            &limited,
-            &[("endpoint", ep)],
-            r.counter(rate_limited_key(ep)).get(),
-        );
-    }
-
-    let shed = w.family(
-        "gsb_http_shed_total",
-        PromKind::Counter,
-        "Connections shed by admission control, by cause.",
-    );
-    for (cause, key) in [
-        ("queue_full", "http.shed.queue_full"),
-        ("deadline", "http.shed.deadline"),
-        ("slow_client", "http.shed.slow_client"),
-        ("draining", "http.shed.draining"),
-    ] {
-        w.sample(&shed, &[("cause", cause)], r.counter(key).get());
-    }
-
-    let status = w.family(
-        "gsb_http_responses_total",
-        PromKind::Counter,
-        "Responses written, by HTTP status.",
-    );
-    for (label, code) in STATUS_LABELS {
-        w.sample(
-            &status,
-            &[("status", label)],
-            r.counter(status_key(code)).get(),
-        );
-    }
-    w.sample(
-        &status,
-        &[("status", "other")],
-        r.counter("http.status.other").get(),
-    );
-
-    let depth = w.family(
-        "gsb_http_queue_depth",
-        PromKind::Gauge,
-        "Connections currently waiting in the admission queue.",
-    );
-    w.sample(&depth, &[], r.gauge("http.queue_depth").get());
-
-    // Plain counters: name, recorder key, help.
-    let plain: [(&str, &'static str, &str); 11] = [
-        (
-            "gsb_http_connections_total",
-            "http.connections",
-            "TCP connections accepted (including shed ones).",
-        ),
-        (
-            "gsb_http_degraded_total",
-            "http.degraded_total",
-            "Responses served degraded-exact (quarantined ids skipped).",
-        ),
-        (
-            "gsb_http_slow_queries_total",
-            "http.slow_queries",
-            "Requests slower than the slow-query threshold.",
-        ),
-        (
-            "gsb_http_reloads_total",
-            "http.reloads",
-            "Successful index hot-reloads.",
-        ),
-        (
-            "gsb_http_reload_errors_total",
-            "http.reload_errors",
-            "Hot-reload attempts that failed validation.",
-        ),
-        (
-            "gsb_http_worker_panics_total",
-            "http.worker_panics",
-            "Request handlers that panicked (contained, answered 500).",
-        ),
-        (
-            "gsb_http_read_errors_total",
-            "http.read_errors",
-            "Connections lost while reading the request.",
-        ),
-        (
-            "gsb_http_write_errors_total",
-            "http.write_errors",
-            "Responses that failed to write.",
-        ),
-        (
-            "gsb_http_accept_errors_total",
-            "http.accept_errors",
-            "Accept-path failures.",
-        ),
-        (
-            "gsb_http_rate_limited_requests_total",
-            "http.rate_limited_total",
-            "Requests answered 429, all endpoints.",
-        ),
-        (
-            "gsb_http_access_log_errors_total",
-            "http.access_log_errors",
-            "Access-log lines dropped on write failure.",
-        ),
-    ];
-    for (name, key, help) in plain {
-        let fam = w.family(name, PromKind::Counter, help);
-        w.sample(&fam, &[], r.counter(key).get());
-    }
-
-    // Reader I/O: block-cache effectiveness and decode cost. Counters
-    // reset on hot-reload (fresh reader), flagged by the generation.
-    let io = index.io_stats();
-    for (name, value, help) in [
-        (
-            "gsb_index_cache_hits_total",
-            io.cache_hits,
-            "Block lookups answered from the decoded-block cache.",
-        ),
-        (
-            "gsb_index_cache_misses_total",
-            io.cache_misses,
-            "Block lookups that had to read and decode from disk.",
-        ),
-        (
-            "gsb_index_cache_evictions_total",
-            io.cache_evictions,
-            "Cache insertions that displaced an older block.",
-        ),
-        (
-            "gsb_index_blocks_decoded_total",
-            io.blocks_decoded,
-            "Blocks read, CRC-verified, and decoded.",
-        ),
-        (
-            "gsb_index_decode_ns_total",
-            io.decode_ns,
-            "Nanoseconds spent in block read+CRC+decode.",
-        ),
-        (
-            "gsb_index_postings_reads_total",
-            io.postings_reads,
-            "Postings-list reads served.",
-        ),
-    ] {
-        let fam = w.family(name, PromKind::Counter, help);
-        w.sample(&fam, &[], value);
-    }
-    for (name, value, help) in [
-        (
-            "gsb_index_generation",
-            index.generation(),
-            "Rebuild generation of the live index.",
-        ),
-        (
-            "gsb_index_quarantined_blocks",
-            index.quarantined_blocks().len() as u64,
-            "Store blocks quarantined as corrupt since this reader opened.",
-        ),
-        (
-            "gsb_index_cliques",
-            index.len(),
-            "Cliques in the live index.",
-        ),
-        (
-            "gsb_index_live_cliques",
-            index.live_len(),
-            "Cliques surviving the tombstone filter (equals gsb_index_cliques when no delta chain).",
-        ),
-        (
-            "gsb_index_tombstones",
-            index.len() - index.live_len(),
-            "Cliques killed by the delta chain since the last compaction.",
-        ),
-        (
-            "gsb_index_delta_generations",
-            index.delta_generations(),
-            "Delta generations stacked on the base index (0 after compaction).",
-        ),
-    ] {
-        let fam = w.family(name, PromKind::Gauge, help);
-        w.sample(&fam, &[], value);
-    }
-
-    let uptime = w.family(
-        "gsb_uptime_seconds",
-        PromKind::Gauge,
-        "Seconds since the server started.",
-    );
-    w.sample_f64(&uptime, &[], state.started.elapsed().as_secs_f64());
-
-    // Sweep: any counter not claimed above still gets exposed, under a
-    // sanitized gsb_-prefixed name, so new instrumentation is never
-    // invisible to scrapes.
-    let mut claimed: std::collections::BTreeSet<&str> = [
-        "http.shed_total",
-        "http.shed.queue_full",
-        "http.shed.deadline",
-        "http.shed.slow_client",
-        "http.shed.draining",
-        "http.status.other",
-        "http.connections",
-        "http.degraded_total",
-        "http.slow_queries",
-        "http.reloads",
-        "http.reload_errors",
-        "http.worker_panics",
-        "http.read_errors",
-        "http.write_errors",
-        "http.accept_errors",
-        "http.rate_limited_total",
-        "http.access_log_errors",
-    ]
-    .into();
-    for ep in ENDPOINTS {
-        claimed.insert(requests_key(ep));
-        claimed.insert(rate_limited_key(ep));
-    }
-    for (_, code) in STATUS_LABELS {
-        claimed.insert(status_key(code));
-    }
-    for (key, value) in state.recorder.snapshot_counters() {
-        if claimed.contains(key) {
-            continue;
-        }
-        let fam = w.family(
-            &format!("gsb_{key}"),
-            PromKind::Counter,
-            "Unstructured counter (auto-exported).",
-        );
-        w.sample(&fam, &[], value);
-    }
-
-    w.finish()
-}
-
-/// The queue is full: answer an admission-exempt request (`/health`,
-/// `/metrics`, `/metrics-json`) inline from the accept loop, shed
-/// anything else with a typed 503. The header read is bounded (50ms,
-/// 1 KiB) so a slow client cannot stall accepting.
-fn overload_inline(state: &ServeState, stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut buf = [0u8; 1024];
-    let mut used = 0usize;
-    for _ in 0..2 {
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => break,
-            Ok(k) => {
-                used += k;
-                if find_head_end(&buf[..used]).is_some() || used == buf.len() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf[..used]);
-    let first = head.lines().next().unwrap_or("");
-    let (route, limit) = parse_route(first);
-    let endpoint = route.endpoint();
-    if admission_exempt(endpoint) && find_head_end(&buf[..used]).is_some() {
-        let mut span = SpanRecorder::new(resolve_trace_id(state, &head));
-        span.stage("parse");
-        let index = state.index();
-        let (status, body, skipped, content_type) =
-            execute(state, &index, &route, limit, &mut span);
-        state.recorder.add_named(requests_key(endpoint), 1);
-        state.recorder.add_named(status_key(status), 1);
-        state
-            .recorder
-            .histogram(latency_key(endpoint))
-            .observe(span.total_ns());
-        let extra = trace_headers(&span);
-        if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
-            state.recorder.add_named("http.write_errors", 1);
-        }
-        span.stage("respond");
-        state.log_access(
-            &span,
-            endpoint,
-            status,
-            "overload_exempt",
-            body.len() as u64,
-        );
-    } else {
-        state.recorder.add_named("http.shed.queue_full", 1);
-        state.recorder.add_named("http.shed_total", 1);
-        state.recorder.add_named(status_key(503), 1);
-        let body = "{\"error\":\"server overloaded, admission queue full\",\"shed\":true}";
-        let retry = state.retry_after_secs();
-        if respond_retry(stream, 503, body, retry).is_err() {
-            state.recorder.add_named("http.write_errors", 1);
-        }
-    }
-}
-
-/// The `X-Gsb-Trace` / `X-Gsb-Trace-Ns` response headers for a span.
-fn trace_headers(span: &SpanRecorder) -> [(&'static str, String); 2] {
-    [
-        ("X-Gsb-Trace", span.trace_id().to_string()),
-        ("X-Gsb-Trace-Ns", span.total_ns().to_string()),
-    ]
-}
-
-/// The request's trace id: an incoming valid `X-Gsb-Trace` header wins,
-/// else the server's seeded generator supplies one.
-fn resolve_trace_id(state: &ServeState, head: &str) -> String {
-    match header_value(head, "x-gsb-trace") {
-        Some(v) if valid_trace_id(v) => v.to_string(),
-        _ => state.next_trace_id(),
-    }
-}
-
-/// Case-insensitive lookup of one request-header value.
-pub(crate) fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
-    for line in head.lines().skip(1) {
-        if let Some((key, value)) = line.split_once(':') {
-            if key.trim().eq_ignore_ascii_case(name) {
-                return Some(value.trim());
-            }
-        }
-    }
-    None
-}
-
-/// Trait bridge: `AtomicRecorder::add` takes `&'static str`; this
-/// helper keeps call sites tidy.
-pub(crate) trait AddNamed {
-    fn add_named(&self, key: &'static str, delta: u64);
-}
-
-impl AddNamed for AtomicRecorder {
-    fn add_named(&self, key: &'static str, delta: u64) {
-        self.counter(key).add(delta);
-    }
-}
-
-/// Read the request head incrementally (progress bounded by the
-/// request budget, size bounded by `max_header_bytes`), answer it,
-/// close. One request per connection by design: `Connection: close`
-/// makes drain semantics ("no truncated responses") auditable.
-fn handle_connection(stream: &mut TcpStream, accepted_at: Instant, state: &ServeState) {
-    let config = &state.config;
-    // The span's clock starts at accept: the first stage is the queue
-    // wait this request already paid for.
-    let mut span = SpanRecorder::started_at(String::new(), accepted_at);
-    span.stage("queue");
-    // The budget already paid for queueing; a request that spent it all
-    // waiting is shed rather than started.
-    if accepted_at.elapsed() >= config.request_deadline {
-        state.shed(
-            stream,
-            503,
-            "request exceeded its deadline budget while queued",
-            "http.shed.deadline",
-        );
-        state.log_access(&span, "unparsed", 503, "deadline", 0);
-        return;
-    }
-
-    let mut buf = vec![0u8; config.max_header_bytes.max(64)];
-    let mut used = 0usize;
-    let head_len = loop {
-        let Some(remaining) = config.request_deadline.checked_sub(accepted_at.elapsed()) else {
-            // Anti-slow-loris: each read made "progress", but the head
-            // never completed within the budget.
-            state.shed(
-                stream,
-                408,
-                "request header did not complete within the deadline budget",
-                "http.shed.slow_client",
-            );
-            span.stage("parse");
-            state.log_access(&span, "unparsed", 408, "slow_client", 0);
-            return;
-        };
-        if used == buf.len() {
-            state.recorder.add_named("http.bad_request.requests", 1);
-            state.recorder.add_named(status_key(431), 1);
-            if respond(stream, 431, "{\"error\":\"request header too large\"}", 0).is_err() {
-                state.recorder.add_named("http.write_errors", 1);
-            }
-            span.stage("parse");
-            state.log_access(&span, "bad_request", 431, "header_too_large", 0);
-            return;
-        }
-        let per_read = remaining.min(config.deadline).max(Duration::from_millis(1));
-        let _ = stream.set_read_timeout(Some(per_read));
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => return, // peer closed before sending a request
-            Ok(k) => {
-                used += k;
-                if let Some(end) = find_head_end(&buf[..used]) {
-                    break end;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Read timed out: loop back so the budget check above
-                // decides between another read and a 408.
-                continue;
-            }
-            Err(_) => {
-                // Connection reset or similar: nothing to answer.
-                state.recorder.add_named("http.read_errors", 1);
-                return;
-            }
-        }
-    };
-
-    let head = String::from_utf8_lossy(&buf[..head_len]);
-    let first = head.lines().next().unwrap_or("");
-    let (route, limit) = parse_route(first);
-    let endpoint = route.endpoint();
-    span.set_trace_id(resolve_trace_id(state, &head));
-    span.stage("parse");
-
-    // Caller-supplied deadline (`X-Gsb-Deadline-Ms`, measured from our
-    // accept): the router carves per-try budgets from its own request
-    // deadline and propagates the remainder, so a backend that cannot
-    // start in time sheds instead of computing an answer nobody is
-    // waiting for.
-    if let Some(ms) = header_value(&head, "x-gsb-deadline-ms").and_then(|v| v.parse::<u64>().ok()) {
-        if accepted_at.elapsed() >= Duration::from_millis(ms) {
-            state.shed(
-                stream,
-                503,
-                "caller deadline already expired",
-                "http.shed.deadline",
-            );
-            state.log_access(&span, endpoint, 503, "caller_deadline", 0);
-            return;
-        }
-    }
-
-    // Rate limiting sits between parse and execution: cheap typed 429s
-    // under saturation, no index work spent on a shed request.
-    // `/health` and the metrics endpoints are exempt so liveness probes
-    // and scrapes pass during overload.
-    if !admission_exempt(endpoint) {
-        if let Some(buckets) = &state.buckets {
-            if !buckets.try_take(endpoint) {
-                state.recorder.add_named(rate_limited_key(endpoint), 1);
-                state.recorder.add_named("http.rate_limited_total", 1);
-                state.recorder.add_named(status_key(429), 1);
-                span.stage("admission");
-                let extra = trace_headers(&span);
-                if respond_full(
-                    stream,
-                    429,
-                    "{\"error\":\"rate limit exceeded for this endpoint\"}",
-                    0,
-                    1,
-                    CONTENT_TYPE_JSON,
-                    &extra,
-                )
-                .is_err()
-                {
-                    state.recorder.add_named("http.write_errors", 1);
-                }
-                span.stage("respond");
-                state.log_access(&span, endpoint, 429, "rate_limited", 0);
-                return;
-            }
-        }
-    }
-    span.stage("admission");
-
-    let index = state.index();
-    let started = Instant::now();
-    let (status, body, skipped, content_type) = execute(state, &index, &route, limit, &mut span);
-    state.recorder.add_named(requests_key(endpoint), 1);
-    state.recorder.add_named(status_key(status), 1);
-    state
-        .recorder
-        .histogram(latency_key(endpoint))
-        .observe(started.elapsed().as_nanos() as u64);
-    if skipped > 0 {
-        state.recorder.add_named("http.degraded_total", 1);
-    }
-    let extra = trace_headers(&span);
-    if respond_full(stream, status, &body, skipped, 1, content_type, &extra).is_err() {
-        state.recorder.add_named("http.write_errors", 1);
-    }
-    span.stage("respond");
-    let cause = if skipped > 0 { "degraded_exact" } else { "" };
-    state.log_access(&span, endpoint, status, cause, body.len() as u64);
-}
-
-pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
-/// The default response content type.
-pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
-
-/// Prometheus text exposition content type.
-pub(crate) const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// Write one complete response. Every response closes the connection
-/// and carries an exact `Content-Length`; every error/shed status also
-/// carries `Retry-After`, and a degraded-exact answer is marked with
-/// `X-Gsb-Degraded: <skipped ids>`.
-fn respond(stream: &mut TcpStream, status: u16, body: &str, degraded: u64) -> std::io::Result<()> {
-    respond_full(stream, status, body, degraded, 1, CONTENT_TYPE_JSON, &[])
-}
-
-/// [`respond`] with an explicit queue-depth-scaled `Retry-After`
-/// (shed paths; see [`ServeState::retry_after_secs`]).
-fn respond_retry(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    retry_after_secs: u32,
-) -> std::io::Result<()> {
-    respond_full(
-        stream,
-        status,
-        body,
-        0,
-        retry_after_secs,
-        CONTENT_TYPE_JSON,
-        &[],
-    )
-}
-
-/// [`respond`] with an explicit content type and extra headers (the
-/// trace id/total pair).
-pub(crate) fn respond_full(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    degraded: u64,
-    retry_after_secs: u32,
-    content_type: &str,
-    extra: &[(&'static str, String)],
-) -> std::io::Result<()> {
-    gsb_core::failpoint::inject("serve.respond")?;
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    };
-    let retry_after = if status >= 400 {
-        format!("Retry-After: {}\r\n", retry_after_secs.clamp(1, 8))
-    } else {
-        String::new()
-    };
-    let degraded_header = if degraded > 0 {
-        format!("X-Gsb-Degraded: {degraded}\r\n")
-    } else {
-        String::new()
-    };
-    let mut extra_headers = String::new();
-    for (name, value) in extra {
-        extra_headers.push_str(name);
-        extra_headers.push_str(": ");
-        extra_headers.push_str(value);
-        extra_headers.push_str("\r\n");
-    }
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry_after}{degraded_header}{extra_headers}Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
-}
-
-/// A parsed request target, ready for rate limiting and execution.
-pub(crate) enum Route {
-    /// `/` or `/health`.
-    Health,
-    /// `/ready` — readiness (index loaded *and* not draining),
-    /// distinct from liveness: a draining server is alive but not
-    /// ready, so router probes eject it before the drain sweep sheds.
-    Ready,
-    /// `/stats`.
-    Stats,
-    /// `/get/<id>` — one clique by id (the router's unit of routing).
-    Get(u64),
-    /// `/max`.
-    Max,
-    /// `/containing/<v>`.
-    Containing(u32),
-    /// `/size/<lo>/<hi>`.
-    Size(u32, u32),
-    /// `/overlap/<v>/<w>`.
-    Overlap(u32, u32),
-    /// `/metrics` — Prometheus text exposition.
-    Metrics,
-    /// `/metrics-json` — the shutdown metrics snapshot, live.
-    MetricsJson,
-    /// Unknown path.
-    NotFound,
-    /// Non-GET method.
-    MethodNotAllowed,
-    /// Malformed request line or parameters.
-    Bad(&'static str),
-}
-
-impl Route {
-    pub(crate) fn endpoint(&self) -> &'static str {
-        match self {
-            Route::Health => "health",
-            Route::Ready => "ready",
-            Route::Stats => "stats",
-            Route::Get(_) => "get",
-            Route::Max => "max",
-            Route::Containing(_) => "containing",
-            Route::Size(..) => "size",
-            Route::Overlap(..) => "overlap",
-            Route::Metrics => "metrics",
-            Route::MetricsJson => "metrics_json",
-            Route::NotFound => "not_found",
-            Route::MethodNotAllowed | Route::Bad(_) => "bad_request",
-        }
-    }
-}
-
-/// Parse the request line into a route + result limit. Total function:
-/// any garbage maps to a typed `Route` variant, never a panic.
-pub(crate) fn parse_route(request_line: &str) -> (Route, usize) {
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    if method != "GET" {
-        return (Route::MethodNotAllowed, 0);
-    }
-    if target.is_empty() || target.len() > 2048 {
-        return (Route::Bad("malformed request target"), 0);
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let limit = parse_limit(query);
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let route = match segments.as_slice() {
-        [] | ["health"] => Route::Health,
-        ["ready"] => Route::Ready,
-        ["stats"] => Route::Stats,
-        ["max"] => Route::Max,
-        ["get", id] => match id.parse::<u64>() {
-            Ok(id) => Route::Get(id),
-            Err(_) => Route::Bad("clique id must be a number"),
-        },
-        ["metrics"] => Route::Metrics,
-        ["metrics-json"] => Route::MetricsJson,
-        ["containing", v] => match v.parse::<u32>() {
-            Ok(v) => Route::Containing(v),
-            Err(_) => Route::Bad("vertex must be a number"),
-        },
-        ["size", lo, hi] => match (lo.parse::<u32>(), hi.parse::<u32>()) {
-            (Ok(lo), Ok(hi)) if lo <= hi => Route::Size(lo, hi),
-            _ => Route::Bad("size range must be /size/<lo>/<hi> with lo <= hi"),
-        },
-        ["overlap", v, w] => match (v.parse::<u32>(), w.parse::<u32>()) {
-            (Ok(v), Ok(w)) => Route::Overlap(v, w),
-            _ => Route::Bad("vertices must be numbers"),
-        },
-        _ => Route::NotFound,
-    };
-    (route, limit)
-}
-
-/// Execute a parsed route. Returns status, body, the count of ids
-/// skipped because their block is quarantined (degraded-exact), and the
-/// content type. Index lookups record their split into the span: the
+/// Answer one query from `index`. Returns status, body, the count of
+/// ids skipped because their block is quarantined (degraded-exact), and
+/// the content type. Index lookups record their split into the span: the
 /// `postings` stage covers id-list reads and intersection, the `blocks`
 /// stage covers materializing cliques from store blocks (cache hits and
 /// decodes alike — the reader's `gsb_index_*` counters split those).
-fn execute(
-    state: &ServeState,
-    index: &CliqueIndex,
-    route: &Route,
-    limit: usize,
-    span: &mut SpanRecorder,
-) -> (u16, String, u64, &'static str) {
+fn execute(index: &CliqueIndex, query: &Query, limit: usize, span: &mut SpanRecorder) -> Answer {
     let json = CONTENT_TYPE_JSON;
-    match route {
-        Route::Health => (200, "{\"status\":\"ok\"}".into(), 0, json),
-        Route::Ready => {
-            if state.draining.load(Ordering::Acquire) {
-                (503, "{\"ready\":false,\"draining\":true}".into(), 0, json)
-            } else {
-                (
-                    200,
-                    format!(
-                        "{{\"ready\":true,\"draining\":false,\"generation\":{},\"cliques\":{}}}",
-                        index.generation(),
-                        index.len()
-                    ),
-                    0,
-                    json,
-                )
-            }
-        }
-        Route::Stats => (200, stats_json(index), 0, json),
-        Route::Get(id) => {
+    match query {
+        Query::Stats => (200, stats_json(index), 0, json),
+        Query::Get(id) => {
             // tombstoned ids decode fine but are no longer part of the
             // served set — a dead id answers like a missing one
             if !index.is_live(*id) {
@@ -1599,9 +605,7 @@ fn execute(
                 Err(e) => (500, error_json(&e), 0, json),
             }
         }
-        Route::Metrics => (200, render_promtext(state, index), 0, CONTENT_TYPE_PROM),
-        Route::MetricsJson => (200, state.live_metrics_json(), 0, json),
-        Route::Max => {
+        Query::Max => {
             let result = index.max_clique();
             span.stage("blocks");
             match result {
@@ -1615,7 +619,7 @@ fn execute(
                 Err(e) => (500, error_json(&e), 0, json),
             }
         }
-        Route::Containing(v) => {
+        Query::Containing(v) => {
             let ids = index.containing(*v);
             span.stage("postings");
             let result = ids.and_then(|ids| {
@@ -1640,7 +644,7 @@ fn execute(
                 Err(e) => (500, error_json(&e), 0, json),
             }
         }
-        Route::Size(lo, hi) => {
+        Query::Size(lo, hi) => {
             // tombstone-aware: the run table filtered by the dead set,
             // so chained and compacted indexes answer identically
             let ids = index.ids_of_size(*lo, *hi);
@@ -1665,7 +669,7 @@ fn execute(
                 Err(e) => (500, error_json(&e), 0, json),
             }
         }
-        Route::Overlap(v, w) => {
+        Query::Overlap(v, w) => {
             let ids = index.overlap(*v, *w);
             span.stage("postings");
             let result = ids.and_then(|ids| {
@@ -1690,31 +694,7 @@ fn execute(
                 Err(e) => (500, error_json(&e), 0, json),
             }
         }
-        Route::NotFound => (404, "{\"error\":\"no such endpoint\"}".into(), 0, json),
-        Route::MethodNotAllowed => (405, "{\"error\":\"only GET is supported\"}".into(), 0, json),
-        Route::Bad(message) => (400, format!("{{\"error\":\"{message}\"}}"), 0, json),
     }
-}
-
-/// The optional `"degraded":N` JSON suffix (empty for complete answers,
-/// so healthy responses are byte-identical to the pre-quarantine ones).
-fn degraded_field(skipped: u64) -> String {
-    if skipped == 0 {
-        String::new()
-    } else {
-        format!(",\"degraded\":{skipped}")
-    }
-}
-
-fn parse_limit(query: &str) -> usize {
-    for pair in query.split('&') {
-        if let Some(v) = pair.strip_prefix("limit=") {
-            if let Ok(k) = v.parse::<usize>() {
-                return k;
-            }
-        }
-    }
-    1000
 }
 
 fn stats_json(index: &CliqueIndex) -> String {
@@ -1763,71 +743,45 @@ fn json_cliques(cliques: &[Clique]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn head_end_detection() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-    }
-
-    #[test]
-    fn limit_parsing() {
-        assert_eq!(parse_limit(""), 1000);
-        assert_eq!(parse_limit("limit=5"), 5);
-        assert_eq!(parse_limit("a=1&limit=7"), 7);
-        assert_eq!(parse_limit("limit=x"), 1000);
-    }
+    use crate::http::{endpoint, parse_route, Route};
 
     #[test]
     fn route_parsing_is_total() {
+        let route = |line: &str| parse_route(line).0;
+        assert!(matches!(route("GET /health HTTP/1.1"), Route::Health));
+        assert!(matches!(route("GET / HTTP/1.1"), Route::Health));
         assert!(matches!(
-            parse_route("GET /health HTTP/1.1").0,
-            Route::Health
-        ));
-        assert!(matches!(parse_route("GET / HTTP/1.1").0, Route::Health));
-        assert!(matches!(
-            parse_route("GET /containing/7 HTTP/1.1").0,
-            Route::Containing(7)
+            route("GET /containing/7 HTTP/1.1"),
+            Route::Query(Query::Containing(7))
         ));
         assert!(matches!(
-            parse_route("GET /size/3/5 HTTP/1.1").0,
-            Route::Size(3, 5)
+            route("GET /size/3/5 HTTP/1.1"),
+            Route::Query(Query::Size(3, 5))
         ));
+        assert!(matches!(route("GET /size/5/3 HTTP/1.1"), Route::Bad(_)));
         assert!(matches!(
-            parse_route("GET /size/5/3 HTTP/1.1").0,
-            Route::Bad(_)
-        ));
-        assert!(matches!(
-            parse_route("POST /health HTTP/1.1").0,
+            route("POST /health HTTP/1.1"),
             Route::MethodNotAllowed
         ));
-        assert!(matches!(parse_route("").0, Route::MethodNotAllowed));
-        assert!(matches!(
-            parse_route("GET /nope HTTP/1.1").0,
-            Route::NotFound
-        ));
+        assert!(matches!(route(""), Route::MethodNotAllowed));
+        assert!(matches!(route("GET /nope HTTP/1.1"), Route::NotFound));
         let long = format!("GET /{} HTTP/1.1", "a".repeat(4000));
-        assert!(matches!(parse_route(&long).0, Route::Bad(_)));
+        assert!(matches!(route(&long), Route::Bad(_)));
         assert_eq!(parse_route("GET /max?limit=3 HTTP/1.1").1, 3);
     }
 
     #[test]
     fn metrics_routes_parse_and_are_admission_exempt() {
-        assert!(matches!(
-            parse_route("GET /metrics HTTP/1.1").0,
-            Route::Metrics
-        ));
-        assert!(matches!(
-            parse_route("GET /metrics-json HTTP/1.1").0,
-            Route::MetricsJson
-        ));
-        assert!(admission_exempt("health"));
-        assert!(admission_exempt("ready"));
-        assert!(admission_exempt("metrics"));
-        assert!(admission_exempt("metrics_json"));
-        assert!(!admission_exempt("containing"));
-        assert!(!admission_exempt("stats"));
-        assert!(!admission_exempt("get"));
+        let (metrics, _) = parse_route("GET /metrics HTTP/1.1");
+        assert!(matches!(metrics, Route::Metrics));
+        let (json, _) = parse_route("GET /metrics-json HTTP/1.1");
+        assert!(matches!(json, Route::MetricsJson));
+        for name in ["health", "ready", "metrics", "metrics_json"] {
+            assert!(endpoint(name).exempt, "{name}");
+        }
+        for name in ["containing", "stats", "get", "not_found", "bad_request"] {
+            assert!(!endpoint(name).exempt, "{name}");
+        }
     }
 
     #[test]
@@ -1835,30 +789,16 @@ mod tests {
         assert!(matches!(parse_route("GET /ready HTTP/1.1").0, Route::Ready));
         assert!(matches!(
             parse_route("GET /get/42 HTTP/1.1").0,
-            Route::Get(42)
+            Route::Query(Query::Get(42))
         ));
         assert!(matches!(
             parse_route("GET /get/x HTTP/1.1").0,
             Route::Bad(_)
         ));
-        assert_eq!(Route::Ready.endpoint(), "ready");
-        assert_eq!(Route::Get(0).endpoint(), "get");
-    }
-
-    #[test]
-    fn retry_after_scales_with_queue_depth_and_stays_bounded() {
-        let scale = |depth: usize, limit: usize| {
-            let limit = limit.max(1);
-            let depth = depth.min(limit);
-            (1 + (7 * depth) / limit) as u32
-        };
-        assert_eq!(scale(0, 128), 1);
-        assert_eq!(scale(64, 128), 4);
-        assert_eq!(scale(128, 128), 8);
-        // depth beyond limit (racy reads) still clamps to the cap
-        assert_eq!(scale(10_000, 128), 8);
-        // a zero limit cannot divide by zero
-        assert_eq!(scale(5, 0), 8);
+        assert_eq!(Route::Ready.endpoint().name, "ready");
+        assert_eq!(Route::Query(Query::Get(0)).endpoint().name, "get");
+        assert_eq!(Route::Bad("x").endpoint().name, "bad_request");
+        assert_eq!(endpoint("no such").name, "bad_request");
     }
 
     #[test]
@@ -1867,15 +807,6 @@ mod tests {
         assert_eq!(header_value(head, "x-gsb-trace"), Some("abc-123"));
         assert_eq!(header_value(head, "host"), Some("x"));
         assert_eq!(header_value(head, "missing"), None);
-    }
-
-    #[test]
-    fn status_keys_are_distinct_per_status() {
-        let mut seen = std::collections::BTreeSet::new();
-        for (_, code) in STATUS_LABELS {
-            assert!(seen.insert(status_key(code)), "duplicate for {code}");
-        }
-        assert_eq!(status_key(418), "http.status.other");
     }
 
     #[test]
@@ -1889,25 +820,5 @@ mod tests {
         // 1000 tokens/s refill: a couple of ms is plenty for one token
         std::thread::sleep(Duration::from_millis(5));
         assert!(b.try_take("max"));
-    }
-
-    #[test]
-    fn metrics_json_shape() {
-        let r = AtomicRecorder::new();
-        r.counter(requests_key("containing")).add(3);
-        r.histogram(latency_key("containing")).observe(1500);
-        r.counter("http.shed_total").add(2);
-        r.counter("http.shed.queue_full").add(2);
-        let json = render_metrics(&r, 5, 3, Duration::from_millis(1200));
-        let parsed = gsb_telemetry::json::parse(&json).expect("valid metrics json");
-        assert_eq!(parsed.u64_or_zero("connections"), 5);
-        assert_eq!(parsed.u64_or_zero("requests"), 3);
-        assert_eq!(parsed.u64_or_zero("shed_total"), 2);
-        let shed = parsed.get("shed").expect("shed breakdown");
-        assert_eq!(shed.u64_or_zero("queue_full"), 2);
-        let endpoints = parsed.get("endpoints").expect("endpoints object");
-        let containing = endpoints.get("containing").expect("containing entry");
-        assert_eq!(containing.u64_or_zero("requests"), 3);
-        assert!(containing.u64_or_zero("p99_ns") >= 1500);
     }
 }

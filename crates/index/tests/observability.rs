@@ -5,6 +5,7 @@
 use gsb_core::{CliqueEnumerator, EnumConfig, ShutdownToken};
 use gsb_graph::generators::{planted, Module};
 use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
+use gsb_index::{Router, RouterConfig, ShardSpec, Topology};
 use gsb_telemetry::access::AccessRecord;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -355,5 +356,154 @@ fn trace_ids_round_trip_and_land_in_the_access_log() {
     for line in slow_text.lines() {
         assert!(AccessRecord::parse(line).is_some(), "slow line: {line:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every family a server's `/metrics` exposed before the server and the
+/// router shared one front end; dashboards and alerts key on these.
+const SERVER_FAMILIES: [&str; 30] = [
+    "gsb_http_requests_total",
+    "gsb_http_request_duration_ns",
+    "gsb_http_rate_limited_total",
+    "gsb_http_shed_total",
+    "gsb_http_responses_total",
+    "gsb_http_queue_depth",
+    "gsb_http_connections_total",
+    "gsb_http_degraded_total",
+    "gsb_http_slow_queries_total",
+    "gsb_http_reloads_total",
+    "gsb_http_reload_errors_total",
+    "gsb_http_worker_panics_total",
+    "gsb_http_read_errors_total",
+    "gsb_http_write_errors_total",
+    "gsb_http_accept_errors_total",
+    "gsb_http_rate_limited_requests_total",
+    "gsb_http_access_log_errors_total",
+    "gsb_index_cache_hits_total",
+    "gsb_index_cache_misses_total",
+    "gsb_index_cache_evictions_total",
+    "gsb_index_blocks_decoded_total",
+    "gsb_index_decode_ns_total",
+    "gsb_index_postings_reads_total",
+    "gsb_index_generation",
+    "gsb_index_quarantined_blocks",
+    "gsb_index_cliques",
+    "gsb_index_live_cliques",
+    "gsb_index_tombstones",
+    "gsb_index_delta_generations",
+    "gsb_uptime_seconds",
+];
+
+/// The families a `/metrics` scrape declares.
+fn declared_families(promtext: &str) -> Vec<&str> {
+    promtext
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .collect()
+}
+
+#[test]
+fn server_metrics_keep_every_family() {
+    let dir = tmp("families");
+    let index = build_index(&dir);
+    let shutdown = ShutdownToken::new();
+    let server = Server::bind(index, "127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let server_thread = {
+        let shutdown = shutdown.clone();
+        std::thread::spawn(move || server.run(&shutdown).expect("run"))
+    };
+    let (status, _, body) = get(addr, "/metrics", &[]);
+    assert_eq!(status, 200);
+    let declared = declared_families(&body);
+    for name in SERVER_FAMILIES {
+        assert!(declared.contains(&name), "family {name} lost:\n{body}");
+    }
+    shutdown.request(15);
+    server_thread.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn router_metrics_expose_backends_and_the_shared_families() {
+    let dir = tmp("router_families");
+    let index = build_index(&dir);
+    let cliques = index.len();
+    let backend_stop = ShutdownToken::new();
+    let server = Server::bind(index, "127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let backend = server.local_addr().expect("addr");
+    let backend_thread = {
+        let stop = backend_stop.clone();
+        std::thread::spawn(move || server.run(&stop).expect("run"))
+    };
+    let topology = Topology {
+        shards: vec![ShardSpec {
+            id_lo: 0,
+            id_hi: cliques,
+            size_lo: 0,
+            size_hi: u32::MAX,
+            replicas: vec![backend.to_string()],
+        }],
+    };
+    let router_stop = ShutdownToken::new();
+    let router =
+        Router::bind(topology, "127.0.0.1:0", RouterConfig::default()).expect("bind router");
+    let addr = router.local_addr().expect("router addr");
+    let router_thread = {
+        let stop = router_stop.clone();
+        std::thread::spawn(move || router.run(&stop).expect("router run"))
+    };
+
+    let (status, _, body) = get(addr, "/containing/2", &[]);
+    assert_eq!(status, 200, "{body}");
+    let (status, _, text) = get(addr, "/metrics", &[]);
+    assert_eq!(status, 200);
+    // CI greps the per-backend breaker gauge; the rest are the router's
+    // own families and the shared front-end ones under its prefix.
+    let declared = declared_families(&text);
+    for name in [
+        "gsb_router_backend_state",
+        "gsb_router_backend_failures_total",
+        "gsb_router_backend_successes_total",
+        "gsb_router_probe_failures_total",
+        "gsb_router_shard_unavailable_total",
+        "gsb_router_retries_total",
+        "gsb_router_hedges_total",
+        "gsb_router_hedge_wins_total",
+        "gsb_router_degraded_answers_total",
+        "gsb_router_requests_total",
+        "gsb_router_request_duration_ns",
+        "gsb_router_responses_total",
+        "gsb_router_shed_total",
+        "gsb_router_connections_total",
+        "gsb_router_worker_panics_total",
+        "gsb_router_queue_depth",
+        "gsb_uptime_seconds",
+    ] {
+        assert!(declared.contains(&name), "family {name} missing:\n{text}");
+    }
+    let gauge = format!("gsb_router_backend_state{{backend=\"{backend}\",shard=\"0\"}} ");
+    assert!(text.lines().any(|l| l.starts_with(&gauge)), "{text}");
+    assert_eq!(
+        sample_value(&text, "gsb_router_requests_total{endpoint=\"containing\"}"),
+        Some(1.0)
+    );
+    // Every router counter is claimed by a family: none is swept up.
+    assert!(!text.contains("auto-exported"), "{text}");
+
+    let (status, _, json) = get(addr, "/metrics-json", &[]);
+    assert_eq!(status, 200);
+    let parsed = gsb_telemetry::json::parse(&json).expect("metrics-json parses");
+    assert_eq!(parsed.u64_or_zero("worker_panics"), 0);
+    let endpoints = parsed.get("endpoints").expect("endpoints object");
+    let containing = endpoints.get("containing").expect("containing entry");
+    assert_eq!(containing.u64_or_zero("requests"), 1);
+    assert!(parsed.get("backends").is_some(), "{json}");
+
+    router_stop.request(15);
+    router_thread.join().expect("router join");
+    backend_stop.request(15);
+    backend_thread.join().expect("backend join");
     std::fs::remove_dir_all(&dir).ok();
 }

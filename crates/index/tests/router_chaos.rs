@@ -751,3 +751,58 @@ fn breaker_reopens_then_recloses_after_replica_restart() {
         handle.join().expect("backend join").expect("backend run");
     }
 }
+
+#[test]
+fn full_queue_answers_probes_inline_and_sheds_queries_typed() {
+    // One worker and one queue slot in front of a replica that accepts
+    // and never answers: a /stats holds the worker on the stalled
+    // replica and a silent connection holds the queue slot. The router
+    // must then behave like the backend server: probes and scrapes are
+    // answered inline, queries get a typed 503 + Retry-After.
+    let (stalled, stop, listener) = fault_listener(true);
+    let topology = Topology {
+        shards: vec![ShardSpec {
+            id_lo: 0,
+            id_hi: 10,
+            size_lo: 1,
+            size_hi: 10,
+            replicas: vec![stalled.to_string()],
+        }],
+    };
+    let config = RouterConfig {
+        threads: 1,
+        queue_limit: 1,
+        request_deadline: Duration::from_secs(3),
+        try_timeout: Duration::from_millis(1500),
+        ..router_config()
+    };
+    let router = Router::bind(topology, "127.0.0.1:0", config).expect("bind router");
+    let addr = router.local_addr().expect("router addr");
+    let shutdown = ShutdownToken::new();
+    let handle = {
+        let shutdown = shutdown.clone();
+        std::thread::spawn(move || router.run(&shutdown))
+    };
+
+    let mut busy = TcpStream::connect(addr).expect("connect");
+    write!(busy, "GET /stats HTTP/1.1\r\nHost: chaos\r\n\r\n").expect("send");
+    std::thread::sleep(Duration::from_millis(200));
+    let queued = TcpStream::connect(addr).expect("connect");
+    std::thread::sleep(Duration::from_millis(200));
+
+    let (status, _, body) = get(addr, "/health");
+    assert_eq!(status, 200, "health shed under a full queue: {body}");
+    assert_eq!(body, "{\"status\":\"ok\",\"role\":\"router\"}");
+    let (status, _, body) = get(addr, "/metrics");
+    assert_eq!(status, 200, "scrape shed under a full queue: {body}");
+    let (status, head, body) = get(addr, "/stats");
+    assert_eq!(status, 503, "query not shed under a full queue: {body}");
+    assert!(head.contains("Retry-After: "), "{head}");
+    assert!(body.contains("admission queue full"), "{body}");
+
+    drop((busy, queued));
+    let report = join_router(&shutdown, handle);
+    assert!(report.shed >= 1, "queue-full shed not counted: {report:?}");
+    stop.store(true, Ordering::Release);
+    listener.join().expect("fault listener");
+}

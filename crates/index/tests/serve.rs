@@ -6,11 +6,12 @@
 use gsb_core::{CliqueEnumerator, CollectSink, EnumConfig, ShutdownToken};
 use gsb_graph::generators::{planted, Module};
 use gsb_index::{CliqueIndex, IndexWriter, ServeConfig, Server};
+use gsb_index::{Router, RouterConfig, ShardSpec, Topology};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gsb_index_serve_{}_{}", std::process::id(), name));
@@ -392,5 +393,68 @@ fn sigterm_under_load_answers_accepted_and_sheds_overflow() {
     let report = server_thread.join().expect("join");
     assert!(report.connections >= 3, "{:?}", report.connections);
     assert!(report.shed >= 1, "queue-full shed not counted");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn idle_server_and_router_stop_within_a_second_of_shutdown() {
+    // Both accept loops block in accept(); the shutdown waker must wake
+    // them promptly, and its own connection must not be counted: a
+    // front end that never saw a request reports zero connections.
+    let g = planted(30, 0.1, &[Module::clique(5)], 3);
+    let dir = tmp("idle");
+    let enumerator = CliqueEnumerator::new(EnumConfig::default());
+    let mut writer = IndexWriter::create(&dir, g.n()).expect("create writer");
+    enumerator.enumerate(&g, &mut writer);
+    writer.finish().expect("finish");
+    let index = Arc::new(CliqueIndex::open(&dir).expect("open"));
+    let server = Server::bind(index, "127.0.0.1:0", ServeConfig::default()).expect("bind");
+    // The router's replica refuses connections, so its prober never
+    // reaches the server either.
+    let refused = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port");
+    let topology = Topology {
+        shards: vec![ShardSpec {
+            id_lo: 0,
+            id_hi: 1,
+            size_lo: 0,
+            size_hi: u32::MAX,
+            replicas: vec![refused.to_string()],
+        }],
+    };
+    let router =
+        Router::bind(topology, "127.0.0.1:0", RouterConfig::default()).expect("bind router");
+    let (server_stop, router_stop) = (ShutdownToken::new(), ShutdownToken::new());
+    let server_thread = {
+        let stop = server_stop.clone();
+        std::thread::spawn(move || server.run(&stop).expect("server run"))
+    };
+    let router_thread = {
+        let stop = router_stop.clone();
+        std::thread::spawn(move || router.run(&stop).expect("router run"))
+    };
+    // Let both settle into their blocking accept.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let asked = Instant::now();
+    server_stop.request(15);
+    let served = server_thread.join().expect("server thread");
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "idle server took {:?} to stop",
+        asked.elapsed()
+    );
+    assert_eq!((served.connections, served.shed), (0, 0), "{served:?}");
+
+    let asked = Instant::now();
+    router_stop.request(15);
+    let routed = router_thread.join().expect("router thread");
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "idle router took {:?} to stop",
+        asked.elapsed()
+    );
+    assert_eq!((routed.connections, routed.shed), (0, 0), "{routed:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
